@@ -6,7 +6,7 @@ export PYTHONPATH := src
 SMOKE := .repro_cache/smoke
 
 .PHONY: test test-fast test-resilience campaign-demo store-smoke prune-smoke \
-	dataflow-smoke dist-smoke bench lint lint-self ruff tables
+	dataflow-smoke dist-smoke bench bench-gate lint lint-self ruff tables
 
 test:            ## full test suite
 	$(PYTHON) -m pytest
@@ -103,6 +103,13 @@ dist-smoke:      ## distributed service: 2 workers, one SIGKILLed, flip-free gat
 
 bench:           ## append a versioned perf snapshot (BENCH_<n+1>.json)
 	$(PYTHON) -m repro.eval bench --out-dir .
+
+bench-gate:      ## benchmark self-tests + fast-path-vs-cycle-0 correctness gate
+	$(PYTHON) -m pytest bench/tests -q
+	# Re-simulates 32 journal points per workload from cycle 0 with the
+	# scalar reference and exits nonzero on any mismatch.
+	$(PYTHON) -m bench run --workload avr-inline --workload msp430-layered \
+		--trace 0 --seconds 5
 
 lint:            ## static analysis of the evaluation designs
 	$(PYTHON) -m repro.lint figure1

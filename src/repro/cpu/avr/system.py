@@ -10,9 +10,12 @@ HAFI platform wires block RAMs to the emulated core.
 from __future__ import annotations
 
 from repro.cpu.avr.core import PC_BITS
-from repro.sim.memory import RAM, ROM
+from repro.sim.memory import RAM, ROM, RamImage
 from repro.sim.simulator import StateView
 from repro.sim.testbench import Testbench
+
+#: RAM image plus the (cycle, port, value) port log.
+AvrSnapshot = tuple[RamImage, tuple[tuple[int, int, int], ...]]
 
 
 class AvrSystem(Testbench):
@@ -54,3 +57,13 @@ class AvrSystem(Testbench):
         if outputs.get("port_we"):
             self.port_log.append((cycle, outputs["port_addr"], outputs["port_wdata"]))
         return bool(outputs.get("halted")) and self.halt_on_sleep
+
+    def snapshot(self) -> AvrSnapshot:
+        """RAM words, write log and port log (the ROM is read-only)."""
+        return self.ram.snapshot(), tuple(self.port_log)
+
+    def restore(self, snapshot: AvrSnapshot) -> None:
+        """Return to a :meth:`snapshot`."""
+        ram, ports = snapshot
+        self.ram.restore(ram)
+        self.port_log = list(ports)

@@ -8,7 +8,7 @@ part's SRAM at 0x0200). The memory read port is combinational from the
 
 from __future__ import annotations
 
-from repro.sim.memory import RAM, ROM
+from repro.sim.memory import RAM, ROM, RamImage
 from repro.sim.simulator import StateView
 from repro.sim.testbench import Testbench
 
@@ -50,3 +50,11 @@ class Msp430System(Testbench):
                 word_index = ((address - self.ram_base) >> 1) % len(self.ram)
                 self.ram.write(word_index, outputs["mem_wdata"], cycle=cycle)
         return bool(outputs.get("halted")) and self.halt_on_cpuoff
+
+    def snapshot(self) -> RamImage:
+        """RAM words and write log (the ROM is read-only)."""
+        return self.ram.snapshot()
+
+    def restore(self, snapshot: RamImage) -> None:
+        """Return to a :meth:`snapshot`."""
+        self.ram.restore(snapshot)

@@ -5,6 +5,12 @@ factory for fresh testbenches and an extractor for the externally-visible
 result (memory image, i/o log). :class:`Campaign` runs the golden
 execution once, then injects SEUs — exhaustively, sampled, or from a
 MATE-pruned fault list — and classifies each run.
+
+When the workload's testbench is checkpointable, the golden run records
+checkpoints (:class:`repro.sim.simulator.CheckpointStore`, at most 256)
+and each injection restores the latest one at or before its fault cycle
+instead of re-simulating the fault-free prefix; the outcome is the same
+as simulating from cycle 0.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.core.faultspace import FaultSpace
 from repro.fi.classify import Outcome
 from repro.obs import counter, gauge, progress_iter, span
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import CheckpointStore, SimulationResult, Simulator
 from repro.sim.testbench import Testbench
 
 
@@ -95,9 +101,14 @@ class Campaign:
     def __init__(self, target: CampaignTarget, max_cycles: int = 50_000) -> None:
         self.target = target
         tb = target.make_testbench()
+        #: Golden-run checkpoints; empty when the testbench cannot snapshot.
+        self.checkpoints = CheckpointStore()
         with span("campaign/golden-run", target=target.name):
             self._golden = target.simulator.run(
-                tb, max_cycles=max_cycles, record_trace=False
+                tb,
+                max_cycles=max_cycles,
+                record_trace=False,
+                checkpoints=self.checkpoints,
             )
         if not self._golden.halted:
             raise ValueError(
@@ -123,6 +134,7 @@ class Campaign:
                 max_cycles=budget,
                 record_trace=False,
                 flips={cycle: [dff_name]},
+                start=self.checkpoints.at(cycle),
             )
         if not result.halted:
             outcome = Outcome.TIMEOUT

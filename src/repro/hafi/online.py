@@ -81,22 +81,22 @@ def simulate_online_pruning(
     trigger_counts = [0] * len(mates)
 
     state = compiled.initial_state()
-    step = compiled.step
-    from repro.sim.simulator import StateView
+    step = compiled.word_step
+    row_sink: list[tuple[int, ...]] = []  # holds one row at a time
 
     with span(
         "hafi/online-pruning", netlist=netlist.name, cycles=cycles, mates=len(mates)
     ) as run_span:
         for cycle in range(cycles):
-            view = StateView(state, simulator.dff_index, simulator.reg_widths)
-            inputs = simulator.pack_inputs(testbench.drive(cycle, view))
-            state, outputs, row = step(state, inputs)
+            in_words = testbench.drive(cycle, simulator.view(state))
+            state, out_words = step(state, in_words, row_sink)
+            row = row_sink.pop()
             for index, checks in enumerate(mate_checks):
                 if all(row[col] == val for col, val in checks):
                     trigger_counts[index] += 1
                     for dff_name in mate_targets[index]:
                         space.mark_benign(dff_name, cycle)
-            testbench.observe(cycle, simulator.unpack_outputs(outputs))
+            testbench.observe(cycle, out_words)
 
     counter("hafi.cycles.emulated").inc(cycles)
     counter("hafi.mate.evaluations").inc(cycles * len(mates))

@@ -4,15 +4,30 @@ Simulating a few thousand gates for ~10⁴ cycles in interpreted Python is
 only tractable if the per-gate dispatch disappears. We therefore compile the
 levelized combinational logic into one generated Python function of local
 integer operations (the same trick netlist simulators play with code
-generation), which evaluates a full cycle in a single call and returns the
-complete wire-value row for trace recording.
+generation), which evaluates a full cycle in a single call.
+
+Two entry points share the generated gate code:
+
+- :attr:`CompiledNetlist.word_step` ``(state, in_words, rows) ->
+  (next_state, out_words)`` is word-level: it unpacks the input words,
+  packs the output words, and appends the complete wire-value row to
+  ``rows`` only when ``rows`` is a list. It is compiled eagerly and is the
+  only function :class:`repro.sim.Simulator` calls, so a process that just
+  simulates compiles exactly one function.
+- :attr:`CompiledNetlist.step` ``(state, inputs) -> (next_state, outputs,
+  row)`` is bit-level, for netlist-level callers that feed recorded input
+  bits (``core.verify``, ``core.multicycle``). It is compiled lazily, on
+  first access.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.netlist.netlist import CONST0, CONST1, Gate, Netlist
 from repro.netlist.validate import validate_netlist
 from repro.obs import counter, span
+from repro.synth.lower import bit_name
 
 #: Per-cell Python expression templates (pin name → local variable).
 _TEMPLATES = {
@@ -43,7 +58,7 @@ _TEMPLATES = {
 
 
 class CompiledNetlist:
-    """A netlist compiled to an executable single-cycle step function."""
+    """A netlist compiled to executable single-cycle step functions."""
 
     def __init__(self, netlist: Netlist) -> None:
         with span("sim/compile", netlist=netlist.name):
@@ -54,21 +69,47 @@ class CompiledNetlist:
             self.dff_names: list[str] = [dff.name for dff in self.dffs]
             self.output_wires: list[str] = list(netlist.outputs)
 
+            # Word-level port map (one 1-bit word per wire when absent).
+            self.input_widths: dict[str, int] = dict(
+                netlist.attributes.get("input_widths")  # type: ignore[arg-type]
+                or {wire: 1 for wire in netlist.inputs}
+            )
+            self.output_widths: dict[str, int] = dict(
+                netlist.attributes.get("output_widths")  # type: ignore[arg-type]
+                or {wire: 1 for wire in netlist.outputs}
+            )
+            input_positions = {wire: i for i, wire in enumerate(self.input_wires)}
+            #: (input-wire position, word, bit) for every input word bit.
+            self.input_order: list[tuple[int, str, int]] = []
+            for word, width in self.input_widths.items():
+                for bit in range(width):
+                    wire = bit_name(word, bit, width)
+                    position = input_positions.get(wire)
+                    if position is None:
+                        raise ValueError(f"input wire {wire} missing from netlist")
+                    self.input_order.append((position, word, bit))
+            #: (word, bit) of each output wire, in output-wire order.
+            self.output_order: list[tuple[str, int]] = [
+                (word, bit)
+                for word, width in self.output_widths.items()
+                for bit in range(width)
+            ]
+
             # Trace column order: constants, inputs, FF Q wires, gate outputs.
-            topo = netlist.topological_gates()
+            self._topo = netlist.topological_gates()
             self.trace_wires: list[str] = [CONST0, CONST1]
             self.trace_wires.extend(self.input_wires)
             self.trace_wires.extend(dff.q for dff in self.dffs)
             seen = set(self.trace_wires)
-            for gate in topo:
+            for gate in self._topo:
                 if gate.output not in seen:
                     self.trace_wires.append(gate.output)
                     seen.add(gate.output)
 
             self._var_of: dict[str, str] = {CONST0: "0", CONST1: "1"}
-            self.step = self._compile(topo)
+            self.word_step = self._compile_word_step()
         counter("sim.compile.netlists").inc()
-        counter("sim.compile.gates").inc(len(topo))
+        counter("sim.compile.gates").inc(len(self._topo))
 
     # ------------------------------------------------------------------
     def _var(self, wire: str) -> str:
@@ -91,24 +132,69 @@ class CompiledNetlist:
             expression = expression.replace(pin, env[pin])
         return expression
 
-    def _compile(self, topo: list[Gate]):
-        lines = ["def step(state, inputs):"]
-        for index, wire in enumerate(self.input_wires):
-            lines.append(f"    {self._var(wire)} = inputs[{index}]")
-        for index, dff in enumerate(self.dffs):
-            lines.append(f"    {self._var(dff.q)} = state[{index}]")
-        for gate in topo:
+    def _body(self) -> list[str]:
+        """State unpacking plus one line per gate, in topological order."""
+        lines = []
+        if self.dffs:
+            targets = ", ".join(self._var(dff.q) for dff in self.dffs)
+            lines.append(f"    {targets}, = state")
+        for gate in self._topo:
             expression = self._gate_expression(gate)
             lines.append(f"    {self._var(gate.output)} = {expression}")
-        next_state = ", ".join(self._var(dff.d) for dff in self.dffs)
-        outputs = ", ".join(self._var(wire) for wire in self.output_wires)
-        outputs_tuple = f"({outputs},)" if outputs else "()"
-        row = ", ".join(self._var(wire) for wire in self.trace_wires)
-        lines.append(f"    return [{next_state}], {outputs_tuple}, ({row},)")
+        return lines
+
+    def _row(self) -> str:
+        return "(" + ", ".join(self._var(w) for w in self.trace_wires) + ",)"
+
+    def _next_state(self) -> str:
+        return "[" + ", ".join(self._var(dff.d) for dff in self.dffs) + "]"
+
+    def _exec(self, lines: list[str]):
         source = "\n".join(lines)
         namespace: dict[str, object] = {}
         exec(compile(source, f"<compiled {self.netlist.name}>", "exec"), namespace)
         return namespace["step"]
+
+    def _compile_word_step(self):
+        lines = ["def step(state, in_words, rows):", "    get = in_words.get"]
+        assigned = set()
+        words: dict[str, list[tuple[int, int]]] = {}
+        for position, word, bit in self.input_order:
+            words.setdefault(word, []).append((position, bit))
+        for index, (word, bits) in enumerate(words.items()):
+            lines.append(f"    w{index} = get({word!r}, 0)")
+            for position, bit in bits:
+                wire = self.input_wires[position]
+                shifted = f"w{index} >> {bit}" if bit else f"w{index}"
+                lines.append(f"    {self._var(wire)} = ({shifted}) & 1")
+                assigned.add(wire)
+        for wire in self.input_wires:
+            if wire not in assigned:  # not part of any input word
+                lines.append(f"    {self._var(wire)} = 0")
+        lines.extend(self._body())
+        lines.append("    if rows is not None:")
+        lines.append(f"        rows.append({self._row()})")
+        packed: dict[str, list[str]] = {}
+        for (word, bit), wire in zip(self.output_order, self.output_wires):
+            var = self._var(wire)
+            packed.setdefault(word, []).append(f"({var} << {bit})" if bit else var)
+        out_words = ", ".join(
+            f"{word!r}: {' | '.join(terms)}" for word, terms in packed.items()
+        )
+        lines.append(f"    return {self._next_state()}, {{{out_words}}}")
+        return self._exec(lines)
+
+    @cached_property
+    def step(self):
+        """Bit-level ``step(state, inputs) -> (next_state, outputs, row)``."""
+        lines = ["def step(state, inputs):"]
+        for index, wire in enumerate(self.input_wires):
+            lines.append(f"    {self._var(wire)} = inputs[{index}]")
+        lines.extend(self._body())
+        outputs = ", ".join(self._var(wire) for wire in self.output_wires)
+        outputs_tuple = f"({outputs},)" if outputs else "()"
+        lines.append(f"    return {self._next_state()}, {outputs_tuple}, {self._row()}")
+        return self._exec(lines)
 
     # ------------------------------------------------------------------
     def initial_state(self) -> list[int]:

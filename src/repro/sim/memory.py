@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+#: Immutable (words, write log) copy of a :class:`RAM`.
+RamImage = tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]
+
 
 class ROM:
     """Read-only word memory; out-of-range reads return 0 (open bus)."""
@@ -37,6 +40,7 @@ class RAM:
         self.words = [fill & self._mask] * size
         #: Chronological (cycle, address, value) log of committed writes.
         self.write_log: list[tuple[int, int, int]] = []
+        self._image: RamImage | None = None
 
     def read(self, address: int) -> int:
         """Word at ``address`` (0 beyond the end — open bus)."""
@@ -54,6 +58,24 @@ class RAM:
         """Bulk-initialize memory starting at ``address`` (not logged)."""
         for offset, value in enumerate(values):
             self.words[address + offset] = value & self._mask
+
+    def snapshot(self) -> RamImage:
+        """Immutable (words, write log) image of the memory.
+
+        Reuses the previous image when no write was logged since it was
+        taken, so checkpoints of a run that rarely writes share one copy.
+        Writes that bypass :meth:`write` (``load``, direct ``words``
+        assignment) must not happen between snapshots.
+        """
+        if self._image is None or len(self._image[1]) != len(self.write_log):
+            self._image = (tuple(self.words), tuple(self.write_log))
+        return self._image
+
+    def restore(self, image: RamImage) -> None:
+        """Return to a :meth:`snapshot` image."""
+        self.words = list(image[0])
+        self.write_log = list(image[1])
+        self._image = image
 
     def __len__(self) -> int:
         return len(self.words)

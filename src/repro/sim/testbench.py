@@ -4,6 +4,12 @@ A testbench supplies word-level input values each cycle (it may inspect the
 current register state, e.g. to model memories addressed by a PC register)
 and observes word-level outputs at the end of each cycle (e.g. to commit
 memory writes or detect a halt condition).
+
+A testbench whose :meth:`Testbench.snapshot` returns a value is
+*checkpointable*: a campaign snapshots it during the golden run and
+restores the snapshot into a fresh testbench to inject from a golden
+checkpoint instead of from cycle 0. The base class returns None ("not
+checkpointable"), and such testbenches are always simulated from cycle 0.
 """
 
 from __future__ import annotations
@@ -21,6 +27,15 @@ class Testbench:
     def observe(self, cycle: int, outputs: Mapping[str, int]) -> bool:
         """Called with word-level outputs after the cycle; True halts the run."""
         return False
+
+    def snapshot(self) -> object | None:
+        """Immutable copy of all state ``drive``/``observe`` depend on or
+        change, or None if the testbench is not checkpointable."""
+        return None
+
+    def restore(self, snapshot: object) -> None:
+        """Return to the state captured by :meth:`snapshot`."""
+        raise NotImplementedError(f"{type(self).__name__} is not checkpointable")
 
 
 class StateReader:
@@ -45,6 +60,13 @@ class ConstantTestbench(Testbench):
         """Constant input words every cycle."""
         return dict(self.values)
 
+    def snapshot(self) -> tuple[()]:
+        """Stateless: nothing to save."""
+        return ()
+
+    def restore(self, snapshot: object) -> None:
+        """Stateless: nothing to restore."""
+
 
 class TableTestbench(Testbench):
     """Plays back a per-cycle table of input words (repeats the last row)."""
@@ -58,3 +80,10 @@ class TableTestbench(Testbench):
         """Row for this cycle (last row repeats)."""
         index = min(cycle, len(self.rows) - 1)
         return dict(self.rows[index])
+
+    def snapshot(self) -> tuple[()]:
+        """Stateless: nothing to save."""
+        return ()
+
+    def restore(self, snapshot: object) -> None:
+        """Stateless: nothing to restore."""

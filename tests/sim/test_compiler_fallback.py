@@ -6,35 +6,41 @@ from repro.sim import CompiledNetlist
 from repro.sim.compiler import _TEMPLATES
 
 
+def sop_fallback_library():
+    """INV/BUF/DFF plus ONEHOT3, a cell no hand-written template covers."""
+    lib = Library("custom")
+    for name in ("INV", "BUF"):
+        expr = "1 ^ A" if name == "INV" else "A"
+        lib.add(Cell(name, ("A",), "Y", BoolFunc.from_expression(("A",), expr)))
+    # A 3-input "exactly one hot" cell: no template exists for it.
+    lib.add(Cell(
+        "ONEHOT3", ("A", "B", "C"), "Y",
+        BoolFunc.from_callable(
+            ("A", "B", "C"), lambda a, b, c: int(a + b + c == 1)
+        ),
+    ))
+    lib.add(Cell("DFF", ("D",), "Q", None, sequential=True))
+    return lib
+
+
+def sop_fallback_netlist():
+    """One ONEHOT3 gate over three inputs, simulated via tabulated SOP."""
+    n = Netlist("t", sop_fallback_library())
+    for w in ("a", "b", "c"):
+        n.add_input(w)
+    n.add_gate("g", "ONEHOT3", {"A": "a", "B": "b", "C": "c"}, "y")
+    n.add_output("y")
+    return n
+
+
 class TestSopFallback:
     """Cells without a hand-written template simulate via tabulated SOP."""
-
-    def _library_with_custom_cell(self):
-        lib = Library("custom")
-        for name in ("INV", "BUF"):
-            expr = "1 ^ A" if name == "INV" else "A"
-            lib.add(Cell(name, ("A",), "Y", BoolFunc.from_expression(("A",), expr)))
-        # A 3-input "exactly one hot" cell: no template exists for it.
-        lib.add(Cell(
-            "ONEHOT3", ("A", "B", "C"), "Y",
-            BoolFunc.from_callable(
-                ("A", "B", "C"), lambda a, b, c: int(a + b + c == 1)
-            ),
-        ))
-        lib.add(Cell("DFF", ("D",), "Q", None, sequential=True))
-        return lib
 
     def test_custom_cell_not_in_templates(self):
         assert "ONEHOT3" not in _TEMPLATES
 
     def test_fallback_matches_truth_table(self):
-        lib = self._library_with_custom_cell()
-        n = Netlist("t", lib)
-        for w in ("a", "b", "c"):
-            n.add_input(w)
-        n.add_gate("g", "ONEHOT3", {"A": "a", "B": "b", "C": "c"}, "y")
-        n.add_output("y")
-        compiled = CompiledNetlist(n)
+        compiled = CompiledNetlist(sop_fallback_netlist())
         for row in range(8):
             inputs = [(row >> i) & 1 for i in range(3)]
             _, outputs, _ = compiled.step([], inputs)
