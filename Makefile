@@ -104,12 +104,31 @@ dist-smoke:      ## distributed service: 2 workers, one SIGKILLed, flip-free gat
 bench:           ## append a versioned perf snapshot (BENCH_<n+1>.json)
 	$(PYTHON) -m repro.eval bench --out-dir .
 
-bench-gate:      ## benchmark self-tests + fast-path-vs-cycle-0 correctness gate
+bench-gate:      ## benchmark self-tests + fast-path correctness gates
 	$(PYTHON) -m pytest bench/tests -q
 	# Re-simulates 32 journal points per workload from cycle 0 with the
 	# scalar reference and exits nonzero on any mismatch.
 	$(PYTHON) -m bench run --workload avr-inline --workload msp430-layered \
 		--trace 0 --seconds 5
+	# Lanes vs scalar on avr-conv, whose checkpoint interval is 32, so
+	# lanes peel between checkpoints: the same points inline (bit-parallel
+	# lanes) and on 2 pool workers (scalar, one point at a time). The two
+	# journals share one warehouse key, so they are compared directly;
+	# any outcome flip exits 1 and is listed.
+	mkdir -p $(SMOKE)
+	rm -rf $(SMOKE)/lanes-inline.jsonl $(SMOKE)/lanes-inline.jsonl.telemetry \
+		$(SMOKE)/lanes-pool.jsonl $(SMOKE)/lanes-pool.jsonl.telemetry
+	$(PYTHON) -m repro.fi run --target avr-conv --sampled 200 --seed 3 \
+		--workers 0 --journal $(SMOKE)/lanes-inline.jsonl --no-store
+	$(PYTHON) -m repro.fi run --target avr-conv --sampled 200 --seed 3 \
+		--workers 2 --journal $(SMOKE)/lanes-pool.jsonl --no-store
+	$(PYTHON) -c 'import sys; from repro.fi import load_result; \
+		a, b = (load_result(p).records for p in sys.argv[1:]); \
+		flips = [(x, y) for x, y in zip(a, b) if x != y]; \
+		print(f"lanes vs scalar: {len(a)}/{len(b)} records, {len(flips)} flips"); \
+		sys.stdout.writelines(f"{x} != {y}\n" for x, y in flips[:10]); \
+		sys.exit(len(a) != len(b) or bool(flips))' \
+		$(SMOKE)/lanes-inline.jsonl $(SMOKE)/lanes-pool.jsonl
 
 lint:            ## static analysis of the evaluation designs
 	$(PYTHON) -m repro.lint figure1

@@ -11,19 +11,31 @@ checkpoints (:class:`repro.sim.simulator.CheckpointStore`, at most 256)
 and each injection restores the latest one at or before its fault cycle
 instead of re-simulating the fault-free prefix; the outcome is the same
 as simulating from cycle 0.
+
+:meth:`Campaign.inject_many` goes further on such a testbench: it
+simulates up to ``LANES - 1`` points in one bit-parallel pass around a
+fault-free lane 0 (:meth:`repro.sim.Simulator.run_lanes`) and finishes
+only the lanes the testbench could tell apart from lane 0 as scalar runs,
+from the cycle they diverged in.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.faultspace import FaultSpace
 from repro.fi.classify import Outcome
-from repro.obs import counter, gauge, progress_iter, span
-from repro.sim.simulator import CheckpointStore, SimulationResult, Simulator
+from repro.obs import counter, gauge, span
+from repro.sim.simulator import (
+    Checkpoint,
+    CheckpointStore,
+    SimulationResult,
+    Simulator,
+)
 from repro.sim.testbench import Testbench
 
 
@@ -98,6 +110,11 @@ class CampaignResult:
 class Campaign:
     """Runs SEU injections against one target."""
 
+    #: Lanes of one :meth:`inject_many` pass: lane 0 is fault-free, so a
+    #: pass injects ``LANES - 1`` points. Python ints are arbitrary width;
+    #: 64 measured no slower end to end than narrower passes.
+    LANES = 64
+
     def __init__(self, target: CampaignTarget, max_cycles: int = 50_000) -> None:
         self.target = target
         tb = target.make_testbench()
@@ -118,27 +135,22 @@ class Campaign:
         self.golden_cycles = self._golden.cycles
 
     # ------------------------------------------------------------------
-    def inject(self, dff_name: str, cycle: int) -> Outcome:
-        """Inject one SEU and classify the outcome."""
+    def _validate_point(self, dff_name: str, cycle: int) -> None:
         if dff_name not in self.target.simulator.netlist.dffs:
             raise KeyError(f"unknown flip-flop {dff_name!r}")
-        if cycle >= self.golden_cycles:
+        if not 0 <= cycle < self.golden_cycles:
             raise ValueError(
-                f"cycle {cycle} beyond the golden run ({self.golden_cycles})"
+                f"cycle {cycle} outside the golden run [0, {self.golden_cycles})"
             )
-        budget = int(self.golden_cycles * self.target.timeout_factor) + 8
-        tb = self.target.make_testbench()
-        with span("campaign/inject"):
-            result = self.target.simulator.run(
-                tb,
-                max_cycles=budget,
-                record_trace=False,
-                flips={cycle: [dff_name]},
-                start=self.checkpoints.at(cycle),
-            )
+
+    @property
+    def _budget(self) -> int:
+        return int(self.golden_cycles * self.target.timeout_factor) + 8
+
+    def _classify(self, testbench: Testbench, result: SimulationResult) -> Outcome:
         if not result.halted:
             outcome = Outcome.TIMEOUT
-        elif self.target.observables(tb, result) == self._golden_observables:
+        elif self.target.observables(testbench, result) == self._golden_observables:
             outcome = Outcome.BENIGN
         else:
             outcome = Outcome.SDC
@@ -146,22 +158,105 @@ class Campaign:
         counter(f"campaign.outcome.{outcome.value}").inc()
         return outcome
 
+    def _run_from(
+        self, start: Checkpoint | None, flips: dict[int, list[str]] | None = None
+    ) -> Outcome:
+        """Simulate from ``start`` (None: cycle 0) to the budget; classify."""
+        tb = self.target.make_testbench()
+        with span("campaign/inject"):
+            result = self.target.simulator.run(
+                tb,
+                max_cycles=self._budget,
+                record_trace=False,
+                flips=flips,
+                start=start,
+            )
+        return self._classify(tb, result)
+
+    def inject(self, dff_name: str, cycle: int) -> Outcome:
+        """Inject one SEU and classify the outcome."""
+        self._validate_point(dff_name, cycle)
+        return self._run_from(self.checkpoints.at(cycle), {cycle: [dff_name]})
+
+    def inject_many(
+        self,
+        points: Iterable[tuple[str, int]],
+        seconds: list[float] | None = None,
+    ) -> list[Outcome]:
+        """Inject many SEUs; the outcomes equal :meth:`inject` point by point.
+
+        Points are sorted by cycle and simulated ``LANES - 1`` at a time
+        as lanes of one :meth:`~repro.sim.Simulator.run_lanes` pass from
+        the latest checkpoint before the earliest of them. A lane the
+        testbench saw diverge from the golden lane resumes as a scalar run
+        from its peel checkpoint; every other lane halted with the golden
+        testbench and is classified from it and its own final state.
+        Without checkpoints (the testbench cannot snapshot), or for one
+        point, each point is simply :meth:`inject` ed.
+
+        When ``seconds`` is a list it receives each point's wall time, in
+        point order: its pass's time shared equally among the pass's
+        points, plus its own scalar run.
+        """
+        points = list(points)
+        for dff_name, cycle in points:
+            self._validate_point(dff_name, cycle)
+        if len(points) < 2 or not self.checkpoints:
+            outcomes = []
+            for dff_name, cycle in points:
+                began = time.monotonic()
+                outcomes.append(self.inject(dff_name, cycle))
+                if seconds is not None:
+                    seconds.append(time.monotonic() - began)
+            return outcomes
+        order = sorted(range(len(points)), key=lambda index: points[index][1])
+        results: dict[int, tuple[Outcome, float]] = {}
+        for at in range(0, len(order), self.LANES - 1):
+            bundle = order[at:at + self.LANES - 1]
+            injected = [points[index] for index in bundle]
+            results.update(zip(bundle, self._inject_bundle(injected)))
+        if seconds is not None:
+            seconds.extend(results[index][1] for index in range(len(points)))
+        return [results[index][0] for index in range(len(points))]
+
+    def _inject_bundle(
+        self, points: list[tuple[str, int]]
+    ) -> list[tuple[Outcome, float]]:
+        """(outcome, seconds) of each point, simulated as lanes of one pass."""
+        began = time.monotonic()
+        tb = self.target.make_testbench()
+        start = self.checkpoints.at(min(cycle for _, cycle in points))
+        lanes = self.target.simulator.run_lanes(tb, start, points, self._budget)
+        outcomes = {
+            lane: self._classify(tb, lanes.lane(lane))
+            for lane in range(1, len(points) + 1)
+            if lane not in lanes.peeled
+        }
+        share = (time.monotonic() - began) / len(points)
+        results = []
+        for lane in range(1, len(points) + 1):
+            checkpoint = lanes.peeled.get(lane)
+            if checkpoint is None:
+                results.append((outcomes[lane], share))
+                continue
+            began = time.monotonic()
+            outcome = self._run_from(checkpoint)
+            results.append((outcome, share + time.monotonic() - began))
+        return results
+
     # ------------------------------------------------------------------
     def run_points(self, points: Iterable[tuple[str, int]]) -> CampaignResult:
         """Inject a list of (dff name, cycle) points."""
-        dffs = self.target.simulator.netlist.dffs
         result = CampaignResult(self.target.name, self.golden_cycles)
         points = list(points)
         with span(
             "campaign/run-points", target=self.target.name, points=len(points)
         ) as run_span:
-            for dff_name, cycle in progress_iter(
-                points, label=f"campaign {self.target.name}"
-            ):
-                if dff_name not in dffs:
-                    raise KeyError(f"unknown flip-flop {dff_name!r}")
-                outcome = self.inject(dff_name, cycle)
-                result.records.append(InjectionRecord(dff_name, cycle, outcome))
+            outcomes = self.inject_many(points)
+            result.records = [
+                InjectionRecord(dff_name, cycle, outcome)
+                for (dff_name, cycle), outcome in zip(points, outcomes)
+            ]
         if run_span.elapsed > 0:
             gauge("campaign.injections_per_second").set(
                 len(points) / run_span.elapsed
@@ -239,9 +334,8 @@ class Campaign:
             points=len(points),
             injected=plan.num_injected,
         ):
-            for index in plan.executed:
-                dff_name, cycle = plan.points[index]
-                outcomes[index] = self.inject(dff_name, cycle)
+            executed = self.inject_many(plan.points[index] for index in plan.executed)
+            outcomes.update(zip(plan.executed, executed))
         for index in plan.dead:
             outcomes[index] = Outcome.BENIGN
         for index, rep_index in plan.follows.items():

@@ -6,7 +6,7 @@ levelized combinational logic into one generated Python function of local
 integer operations (the same trick netlist simulators play with code
 generation), which evaluates a full cycle in a single call.
 
-Two entry points share the generated gate code:
+Three entry points share the generated gate code:
 
 - :attr:`CompiledNetlist.word_step` ``(state, in_words, rows) ->
   (next_state, out_words)`` is word-level: it unpacks the input words,
@@ -18,10 +18,17 @@ Two entry points share the generated gate code:
   row)`` is bit-level, for netlist-level callers that feed recorded input
   bits (``core.verify``, ``core.multicycle``). It is compiled lazily, on
   first access.
+- :attr:`CompiledNetlist.lane_step` ``(state, in_words, mask) ->
+  (next_state, out_words, diverged)`` is bit-parallel: each state value is
+  a vector of lanes (one fault-injected run per bit), for
+  :meth:`repro.sim.Simulator.run_lanes`. It is compiled lazily, on first
+  access.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from functools import cached_property
 
 from repro.netlist.netlist import CONST0, CONST1, Gate, Netlist
@@ -29,32 +36,42 @@ from repro.netlist.validate import validate_netlist
 from repro.obs import counter, span
 from repro.synth.lower import bit_name
 
-#: Per-cell Python expression templates (pin name → local variable).
+#: Per-cell Python expression templates (pin name → local variable). ``{one}``
+#: is the constant one: ``1`` in the scalar steps, the lane mask in
+#: :attr:`CompiledNetlist.lane_step`.
 _TEMPLATES = {
-    "INV": "1 ^ {A}",
+    "INV": "{one} ^ {A}",
     "BUF": "{A}",
     "AND2": "{A} & {B}",
     "AND3": "{A} & {B} & {C}",
     "AND4": "{A} & {B} & {C} & {D}",
-    "NAND2": "1 ^ ({A} & {B})",
-    "NAND3": "1 ^ ({A} & {B} & {C})",
-    "NAND4": "1 ^ ({A} & {B} & {C} & {D})",
+    "NAND2": "{one} ^ ({A} & {B})",
+    "NAND3": "{one} ^ ({A} & {B} & {C})",
+    "NAND4": "{one} ^ ({A} & {B} & {C} & {D})",
     "OR2": "{A} | {B}",
     "OR3": "{A} | {B} | {C}",
     "OR4": "{A} | {B} | {C} | {D}",
-    "NOR2": "1 ^ ({A} | {B})",
-    "NOR3": "1 ^ ({A} | {B} | {C})",
-    "NOR4": "1 ^ ({A} | {B} | {C} | {D})",
+    "NOR2": "{one} ^ ({A} | {B})",
+    "NOR3": "{one} ^ ({A} | {B} | {C})",
+    "NOR4": "{one} ^ ({A} | {B} | {C} | {D})",
     "XOR2": "{A} ^ {B}",
-    "XNOR2": "1 ^ {A} ^ {B}",
+    "XNOR2": "{one} ^ {A} ^ {B}",
     "MUX2": "({B} if {S} else {A})",
-    "AOI21": "1 ^ (({A1} & {A2}) | {B})",
-    "AOI22": "1 ^ (({A1} & {A2}) | ({B1} & {B2}))",
-    "OAI21": "1 ^ (({A1} | {A2}) & {B})",
-    "OAI22": "1 ^ (({A1} | {A2}) & ({B1} | {B2}))",
+    "AOI21": "{one} ^ (({A1} & {A2}) | {B})",
+    "AOI22": "{one} ^ (({A1} & {A2}) | ({B1} & {B2}))",
+    "OAI21": "{one} ^ (({A1} | {A2}) & {B})",
+    "OAI22": "{one} ^ (({A1} | {A2}) & ({B1} | {B2}))",
     "XOR3": "{A} ^ {B} ^ {C}",
     "MAJ3": "({A} & {B}) | ({A} & {C}) | ({B} & {C})",
 }
+
+#: The lane step's templates. ``B if S else A`` tests a whole lane vector,
+#: so ``MUX2`` selects bitwise; the scalar steps keep the conditional,
+#: which is faster on single bits.
+_LANE_TEMPLATES = {**_TEMPLATES, "MUX2": "{A} ^ ({S} & ({A} ^ {B}))"}
+
+#: The lane step's name for its lane-mask argument (all lanes set).
+_MASK = "m"
 
 
 class CompiledNetlist:
@@ -119,35 +136,41 @@ class CompiledNetlist:
             self._var_of[wire] = var
         return var
 
-    def _gate_expression(self, gate: Gate) -> str:
-        template = _TEMPLATES.get(gate.cell)
-        env = {pin: self._var(wire) for pin, wire in gate.inputs.items()}
+    def _ref(self, wire: str, one: str) -> str:
+        """The expression reading ``wire``, with the constant one as ``one``."""
+        return one if wire == CONST1 else self._var(wire)
+
+    def _gate_expression(self, gate: Gate, templates: dict, one: str) -> str:
+        env = {pin: self._ref(wire, one) for pin, wire in gate.inputs.items()}
+        template = templates.get(gate.cell)
         if template is not None:
-            return template.format(**env)
-        # Fallback for cells without a hand-written template: tabulated SOP.
+            return template.format(one=one, **env)
+        # Fallback for cells without a hand-written template: tabulated SOP,
+        # whose pins and constant one are renamed token by token.
         cell = self.netlist.library[gate.cell]
         assert cell.function is not None
-        expression = cell.function.python_expression()
-        for pin in sorted(env, key=len, reverse=True):
-            expression = expression.replace(pin, env[pin])
-        return expression
+        env["1"] = one
+        return re.sub(
+            r"\w+", lambda m: env.get(m.group(), m.group()),
+            cell.function.python_expression(),
+        )
 
-    def _body(self) -> list[str]:
+    def _body(self, templates: dict = _TEMPLATES, one: str = "1") -> list[str]:
         """State unpacking plus one line per gate, in topological order."""
         lines = []
         if self.dffs:
             targets = ", ".join(self._var(dff.q) for dff in self.dffs)
             lines.append(f"    {targets}, = state")
         for gate in self._topo:
-            expression = self._gate_expression(gate)
+            expression = self._gate_expression(gate, templates, one)
             lines.append(f"    {self._var(gate.output)} = {expression}")
         return lines
 
     def _row(self) -> str:
         return "(" + ", ".join(self._var(w) for w in self.trace_wires) + ",)"
 
-    def _next_state(self) -> str:
-        return "[" + ", ".join(self._var(dff.d) for dff in self.dffs) + "]"
+    def _next_state(self, one: str = "1") -> str:
+        return "[" + ", ".join(self._ref(dff.d, one) for dff in self.dffs) + "]"
 
     def _exec(self, lines: list[str]):
         source = "\n".join(lines)
@@ -155,33 +178,48 @@ class CompiledNetlist:
         exec(compile(source, f"<compiled {self.netlist.name}>", "exec"), namespace)
         return namespace["step"]
 
-    def _compile_word_step(self):
-        lines = ["def step(state, in_words, rows):", "    get = in_words.get"]
+    def _unpack_inputs(self, bit: Callable[[str], str]) -> list[str]:
+        """Lines setting every input wire from ``in_words``; ``bit(word)``
+        renders one input bit from the word shifted down to that bit."""
+        lines = ["    get = in_words.get"]
         assigned = set()
         words: dict[str, list[tuple[int, int]]] = {}
-        for position, word, bit in self.input_order:
-            words.setdefault(word, []).append((position, bit))
-        for index, (word, bits) in enumerate(words.items()):
-            lines.append(f"    w{index} = get({word!r}, 0)")
-            for position, bit in bits:
+        for position, word, index in self.input_order:
+            words.setdefault(word, []).append((position, index))
+        for number, (word, bits) in enumerate(words.items()):
+            lines.append(f"    w{number} = get({word!r}, 0)")
+            for position, index in bits:
                 wire = self.input_wires[position]
-                shifted = f"w{index} >> {bit}" if bit else f"w{index}"
-                lines.append(f"    {self._var(wire)} = ({shifted}) & 1")
+                shifted = f"w{number} >> {index}" if index else f"w{number}"
+                lines.append(f"    {self._var(wire)} = {bit(shifted)}")
                 assigned.add(wire)
         for wire in self.input_wires:
             if wire not in assigned:  # not part of any input word
                 lines.append(f"    {self._var(wire)} = 0")
+        return lines
+
+    def _packed_outputs(self, bit: Callable[[str], str], one: str = "1") -> str:
+        """Dict display of the output words; ``bit(value)`` renders one
+        output bit from the wire's value."""
+        packed: dict[str, list[str]] = {}
+        for (word, index), wire in zip(self.output_order, self.output_wires):
+            value = bit(self._ref(wire, one))
+            packed.setdefault(word, []).append(
+                f"({value} << {index})" if index else value
+            )
+        words = ", ".join(
+            f"{word!r}: {' | '.join(terms)}" for word, terms in packed.items()
+        )
+        return f"{{{words}}}"
+
+    def _compile_word_step(self):
+        lines = ["def step(state, in_words, rows):"]
+        lines.extend(self._unpack_inputs(lambda word: f"({word}) & 1"))
         lines.extend(self._body())
         lines.append("    if rows is not None:")
         lines.append(f"        rows.append({self._row()})")
-        packed: dict[str, list[str]] = {}
-        for (word, bit), wire in zip(self.output_order, self.output_wires):
-            var = self._var(wire)
-            packed.setdefault(word, []).append(f"({var} << {bit})" if bit else var)
-        out_words = ", ".join(
-            f"{word!r}: {' | '.join(terms)}" for word, terms in packed.items()
-        )
-        lines.append(f"    return {self._next_state()}, {{{out_words}}}")
+        out_words = self._packed_outputs(lambda value: value)
+        lines.append(f"    return {self._next_state()}, {out_words}")
         return self._exec(lines)
 
     @cached_property
@@ -194,6 +232,28 @@ class CompiledNetlist:
         outputs = ", ".join(self._var(wire) for wire in self.output_wires)
         outputs_tuple = f"({outputs},)" if outputs else "()"
         lines.append(f"    return {self._next_state()}, {outputs_tuple}, {self._row()}")
+        return self._exec(lines)
+
+    @cached_property
+    def lane_step(self):
+        """Bit-parallel ``lane_step(state, in_words, mask) -> (next_state,
+        out_words, diverged)``.
+
+        Every state value is a lane vector: bit *k* of ``state[i]`` is
+        flip-flop *i* in lane *k*, and ``mask`` has one bit set per lane.
+        Input words are broadcast to all lanes; ``out_words`` are packed
+        from lane 0 and ``diverged`` is the mask of lanes whose output
+        bits differ from lane 0's. Compiled on first access from the same
+        gate code as :attr:`word_step`.
+        """
+        lines = [f"def step(state, in_words, {_MASK}):"]
+        lines.extend(self._unpack_inputs(lambda word: f"{_MASK} if {word} & 1 else 0"))
+        lines.extend(self._body(_LANE_TEMPLATES, _MASK))
+        outputs = {self._var(wire) for wire in self.output_wires} - {"0", "1"}
+        diverged = " | ".join(f"({var} ^ -({var} & 1))" for var in sorted(outputs))
+        lines.append(f"    diverged = ({diverged or '0'}) & {_MASK}")
+        out_words = self._packed_outputs(lambda value: f"({value} & 1)", _MASK)
+        lines.append(f"    return {self._next_state(_MASK)}, {out_words}, diverged")
         return self._exec(lines)
 
     # ------------------------------------------------------------------

@@ -16,12 +16,20 @@ A fault-free run can record :class:`Checkpoint` s — the cycle, the
 flip-flop state and a testbench snapshot — into a :class:`CheckpointStore`;
 a later run restores one with ``start=`` and simulates from there with the
 same absolute cycle numbers, skipping the fault-free prefix.
+
+:meth:`Simulator.run_lanes` simulates many injections in one pass over
+lane vectors (bit *k* of a state value is lane *k*): lane 0 runs
+fault-free and drives the one shared testbench, and each other lane gets
+one SEU. A lane is *peeled* — handed back as a :class:`Checkpoint` at the
+start of the cycle — as soon as the testbench would see it differ from
+lane 0, in a register it reads or in an output word.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +98,40 @@ class RecordingStateView(StateView):
             raise KeyError(f"unknown register {name!r}")
         self._sink.update(plan[1])
         return plan[0](self._state)
+
+
+#: Register name → ``reader(lanes) -> (lane 0's word, lanes that differ)``.
+LaneRegisters = Mapping[str, Callable[[list[int]], tuple[int, int]]]
+
+
+class LaneStateView:
+    """Register/FF view of lane vectors handed to testbenches: reads
+    return lane 0's value and add the lanes that read something else to
+    :attr:`diverged`."""
+
+    def __init__(
+        self, state: list[int], dff_index: dict[str, int], registers: LaneRegisters
+    ) -> None:
+        self._state = state
+        self._dff_index = dff_index
+        self._registers = registers
+        #: Lanes whose reads differed from lane 0's (unmasked: bits above
+        #: the lane mask may be set).
+        self.diverged = 0
+
+    def read_ff(self, name: str) -> int:
+        word = self._state[self._dff_index[name]]
+        bit = word & 1
+        self.diverged |= word ^ -bit
+        return bit
+
+    def read_reg(self, name: str) -> int:
+        reader = self._registers.get(name)
+        if reader is None:
+            raise KeyError(f"unknown register {name!r}")
+        value, diverged = reader(self._state)
+        self.diverged |= diverged
+        return value
 
 
 @dataclass(frozen=True)
@@ -166,6 +208,35 @@ class SimulationResult:
         return f"SimulationResult({status} after {self.cycles} cycles)"
 
 
+class LaneResult:
+    """Outcome of a :meth:`Simulator.run_lanes` bundle."""
+
+    def __init__(
+        self,
+        cycles: int,
+        halted: bool,
+        state: list[int],
+        outputs_last: dict[str, int],
+        peeled: dict[int, Checkpoint],
+    ) -> None:
+        self.cycles = cycles
+        self.halted = halted
+        #: Final lane vectors, one per flip-flop.
+        self.state = state
+        #: Lane 0's output words of the last simulated cycle.
+        self.outputs_last = outputs_last
+        #: Lane → its state (flip applied) and the testbench snapshot at
+        #: the start of the cycle it diverged in.
+        self.peeled = peeled
+
+    def lane(self, lane: int) -> SimulationResult:
+        """The result of a lane that was never peeled (lane 0: golden)."""
+        state = [(word >> lane) & 1 for word in self.state]
+        return SimulationResult(
+            None, self.cycles, self.halted, state, self.outputs_last
+        )
+
+
 class Simulator:
     """Runs testbench-driven (optionally fault-injected) simulations."""
 
@@ -196,6 +267,25 @@ class Simulator:
             reader = eval(f"lambda s: {' | '.join(terms) or '0'}")
             plans[name] = (reader, tuple(dff_name for *_, dff_name in present))
         return plans
+
+    @cached_property
+    def lane_registers(self) -> LaneRegisters:
+        """Lane twins of :attr:`registers`: ``reader(lanes) -> (lane 0's
+        value, lanes that differ from it)``, the lane mask unapplied."""
+        readers = {}
+        for name, width in self.reg_widths.items():
+            values, diverged = [], []
+            for bit in range(width):
+                index = self.dff_index.get(bit_name(name, bit, width))
+                if index is not None:
+                    lane0 = f"(s[{index}] & 1)"
+                    values.append(f"{lane0} << {bit}" if bit else lane0)
+                    diverged.append(f"(s[{index}] ^ -{lane0})")
+            value = " | ".join(values) or "0"
+            readers[name] = eval(
+                f"lambda s: ({value}, {' | '.join(diverged) or '0'})"
+            )
+        return readers
 
     def view(self, state: list[int]) -> StateView:
         """A :class:`StateView` of ``state`` for driving a testbench."""
@@ -241,6 +331,11 @@ class Simulator:
         cycle 0, into a store.
         """
         testbench = testbench or Testbench()
+        if checkpoints is not None and (flips or start is not None):
+            raise ValueError(
+                "checkpoints record a fault-free run from cycle 0: "
+                "no flips and no start"
+            )
         if start is None:
             first, state = 0, self.compiled.initial_state()
         else:
@@ -305,3 +400,86 @@ class Simulator:
             )
             trace = Trace(self.compiled.trace_wires, matrix)
         return SimulationResult(trace, cycle, halted, state, out_words, reads=reads)
+
+    def run_lanes(
+        self,
+        testbench: Testbench,
+        start: Checkpoint,
+        injections: Sequence[tuple[str, int]],
+        max_cycles: int,
+    ) -> LaneResult:
+        """Simulate ``injections`` (DFF name, cycle) as lanes 1… of one pass.
+
+        The run restores ``start`` and steps every lane with
+        :attr:`CompiledNetlist.lane_step`; lane 0 stays fault-free and
+        lane *k* has injection *k - 1* flipped in at the start of its cycle
+        (none may precede ``start``). The testbench is driven and observes
+        through lane 0 only. A lane whose register reads or output words
+        differ from lane 0's in some cycle is peeled: it stops being
+        checked and its state at the start of that cycle, flip included,
+        is returned with a testbench snapshot taken before that cycle's
+        ``drive``. Every other lane showed the testbench exactly what
+        lane 0 did, so it ends with lane 0's testbench and halt cycle.
+
+        The run ends when lane 0 halts, at ``max_cycles``, or once every
+        injected lane has been peeled.
+        """
+        lanes = len(injections) + 1
+        mask = (1 << lanes) - 1
+        flips: dict[int, list[tuple[int, int]]] = {}
+        for lane, (dff_name, cycle) in enumerate(injections, 1):
+            if cycle < start.cycle:
+                raise ValueError(
+                    f"flip at cycle {cycle} precedes the checkpoint at "
+                    f"cycle {start.cycle}"
+                )
+            flips.setdefault(cycle, []).append((self.dff_index[dff_name], 1 << lane))
+        last_flip = max(flips, default=start.cycle)
+        first = start.cycle
+        state = [mask if bit else 0 for bit in start.state]
+        testbench.restore(start.testbench)
+        step = self.compiled.lane_step
+        view = LaneStateView(state, self.dff_index, self.lane_registers)
+        live = 0
+        peeled: dict[int, Checkpoint] = {}
+        halted = False
+        out_words: dict[str, int] = {}
+        cycle = first
+        # As in run(): instrumentation once per bundle, never per cycle.
+        with span("sim/run-lanes", netlist=self.netlist.name, lanes=lanes):
+            for cycle in range(first, max_cycles):
+                hits = flips.get(cycle)
+                if hits:
+                    for index, bit in hits:
+                        state[index] ^= bit
+                        live |= bit
+                elif not live and cycle > last_flip:
+                    break
+                snapshot = testbench.snapshot() if live else None
+                view._state = state
+                view.diverged = 0
+                in_words = testbench.drive(cycle, view)
+                next_state, out_words, diverged = step(state, in_words, mask)
+                diverged = (diverged | view.diverged) & live
+                if diverged:
+                    live ^= diverged
+                    while diverged:
+                        low = diverged & -diverged
+                        diverged ^= low
+                        lane = low.bit_length() - 1
+                        peeled[lane] = Checkpoint(
+                            cycle, bytes((word >> lane) & 1 for word in state),
+                            snapshot,
+                        )
+                state = next_state
+                if testbench.observe(cycle, out_words):
+                    halted = True
+                    cycle += 1
+                    break
+            else:
+                cycle = max(first, max_cycles)
+        counter("sim.lanes.runs").inc()
+        counter("sim.lanes.cycles").inc(cycle - first)
+        counter("sim.lanes.peeled").inc(len(peeled))
+        counter("sim.lanes.survived").inc(len(injections) - len(peeled))
+        return LaneResult(cycle, halted, state, out_words, peeled)

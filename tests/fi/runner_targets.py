@@ -14,7 +14,10 @@ hooks to misbehave on demand:
 - :func:`killer_target` — SIGKILLs its own process under the same trigger:
   exercises BrokenProcessPool supervision. With a ``sentinel`` path the
   kill happens only once (the file is created first), modelling a
-  transient crash that succeeds on retry.
+  transient crash that succeeds on retry;
+- :func:`poison_target` — a checkpointable accumulator whose testbench
+  raises under the same trigger: exercises the inline runner's fallback
+  from a failed lane batch to per-point retry and quarantine.
 """
 
 from __future__ import annotations
@@ -143,6 +146,28 @@ def killer_target(sentinel: str | None = None) -> CampaignTarget:
             os.kill(os.getpid(), signal.SIGKILL)
 
     return _make_target("killer", KillerBench)
+
+
+class PoisonError(RuntimeError):
+    """Raised by :func:`poison_target`'s testbench when ``trip`` reads 1."""
+
+
+class PoisonBench(_MisbehavingBench):
+    """Checkpointable accumulator bench that raises when ``trip`` reads 1."""
+
+    def misbehave(self) -> None:
+        raise PoisonError("trip flip-flop read 1")
+
+    def snapshot(self):
+        return (self.result,)
+
+    def restore(self, snapshot) -> None:
+        (self.result,) = snapshot
+
+
+def poison_target() -> CampaignTarget:
+    """Checkpointable accumulator; injecting ``trip`` raises in the bench."""
+    return _make_target("poison", PoisonBench)
 
 
 def netlist_json_roundtrip_target(netlist_json: str) -> CampaignTarget:

@@ -76,8 +76,19 @@ class TestCampaign:
         assert outcome in (Outcome.SDC, Outcome.TIMEOUT)
 
     def test_injection_beyond_golden_rejected(self, campaign):
-        with pytest.raises(ValueError, match="beyond"):
+        with pytest.raises(ValueError, match=r"outside the golden run \[0, 9\)"):
             campaign.inject("acc_b0", 99)
+
+    @pytest.mark.parametrize("inject", ["inject", "inject_many"])
+    def test_negative_cycle_rejected(self, campaign, inject):
+        # Without checkpoints a flip at cycle -1 was never reached, so the
+        # point silently came back BENIGN.
+        points = [("acc_b0", -1), ("acc_b0", 2)]
+        with pytest.raises(ValueError, match=r"cycle -1 outside the golden run"):
+            if inject == "inject":
+                campaign.inject(*points[0])
+            else:
+                campaign.inject_many(points)
 
     def test_unknown_dff_rejected(self, campaign):
         with pytest.raises(KeyError):

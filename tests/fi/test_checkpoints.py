@@ -244,6 +244,18 @@ class TestGuardRails:
                 start=start,
             )
 
+    @pytest.mark.parametrize("faulty", ["flips", "start"])
+    def test_recording_checkpoints_needs_a_fault_free_run(self, sim_and_start, faulty):
+        sim, start = sim_and_start
+        kwargs = {"flips": {5: ["cnt_b0"]}} if faulty == "flips" else {"start": start}
+        store = CheckpointStore()
+        with pytest.raises(ValueError, match="fault-free run from cycle 0"):
+            sim.run(
+                ConstantTestbench({"en": 1}), 8, record_trace=False,
+                checkpoints=store, **kwargs,
+            )
+        assert len(store) == 0
+
     def test_base_testbench_cannot_restore(self):
         with pytest.raises(NotImplementedError, match="not checkpointable"):
             Testbench().restore(())

@@ -136,8 +136,12 @@ class TestInlineRunner:
             inline_runner.run([("ghost_b0", 0)], tmp_path / "c.jsonl")
 
     def test_cycle_beyond_golden_rejected(self, inline_runner, tmp_path):
-        with pytest.raises(ValueError, match="beyond the golden run"):
+        with pytest.raises(ValueError, match="outside the golden run"):
             inline_runner.run([("acc_b0", 50)], tmp_path / "c.jsonl")
+
+    def test_negative_cycle_rejected(self, inline_runner, tmp_path):
+        with pytest.raises(ValueError, match=r"cycle -1 outside the golden run"):
+            inline_runner.run([("acc_b0", -1)], tmp_path / "c.jsonl")
 
     def test_existing_journal_needs_resume_flag(self, inline_runner, tmp_path):
         points = inline_runner.sample_points(3, seed=0)
