@@ -107,9 +107,10 @@ bench:           ## append a versioned perf snapshot (BENCH_<n+1>.json)
 bench-gate:      ## benchmark self-tests + fast-path correctness gates
 	$(PYTHON) -m pytest bench/tests -q
 	# Re-simulates 32 journal points per workload from cycle 0 with the
-	# scalar reference and exits nonzero on any mismatch.
+	# scalar reference and exits nonzero on any mismatch; the cold
+	# analysis must reproduce the recorded def-use, static and MATE counts.
 	$(PYTHON) -m bench run --workload avr-inline --workload msp430-layered \
-		--trace 0 --seconds 5
+		--workload analysis --trace 0 --seconds 5
 	# Lanes vs scalar on avr-conv, whose checkpoint interval is 32, so
 	# lanes peel between checkpoints: the same points inline (bit-parallel
 	# lanes) and on 2 pool workers (scalar, one point at a time). The two

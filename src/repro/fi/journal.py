@@ -15,7 +15,8 @@ Durability contract:
   and on the complete marker) — a crash loses at most one batch, never
   corrupts earlier lines;
 - the loader tolerates a torn final line (the crash case) by dropping it
-  with a counter bump; a malformed line *before* the end means real
+  with a counter bump, and reopening a journal for appending truncates it
+  to its last newline first; a malformed line *before* the end means real
   corruption and raises :class:`JournalError`.
 """
 
@@ -178,6 +179,27 @@ def check_resumable(state: JournalState, expected_header: dict) -> None:
         )
 
 
+def _drop_torn_tail(fd: int) -> int:
+    """Truncate the file behind ``fd`` to its last newline; returns the
+    resulting size.
+
+    A crash mid-append leaves a torn final line that :func:`load_journal`
+    drops. Appending after it would glue the next record onto the torn
+    bytes, so a reopened journal first cuts them off.
+    """
+    size = end = os.fstat(fd).st_size
+    while end > 0:
+        start = max(0, end - 4096)
+        newline = os.pread(fd, end - start, start).rfind(b"\n")
+        if newline >= 0:
+            end = start + newline + 1
+            break
+        end = start
+    if end != size:
+        os.ftruncate(fd, end)
+    return end
+
+
 class CampaignJournal:
     """Append-side of a journal: crash-safe writes with batched fsync."""
 
@@ -188,11 +210,10 @@ class CampaignJournal:
         self.header = header
         self.fsync_interval = max(1, fsync_interval)
         self._unsynced = 0
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._fd = os.open(
-            self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+            self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644
         )
-        if fresh:
+        if _drop_torn_tail(self._fd) == 0:
             self._write_line({"kind": "header", "version": FORMAT_VERSION, **header})
             self._sync()
 

@@ -1,4 +1,4 @@
-"""Per-cycle def-use access events, vectorized over the golden trace.
+"""Per-cycle def-use access events, bit-parallel over the golden trace.
 
 For one fault wire ``w`` (a flip-flop Q output) and every cycle ``c`` of the
 golden run, we ask: if the machine state at the start of ``c`` were exactly
@@ -15,21 +15,27 @@ the golden state with bit ``w`` flipped, where does the difference go during
 - ``'k'`` (**kill**) — no escape, and ``w``'s own D matches golden: the
   flip is overwritten and the run reconverges with the golden run.
 
-Because every cycle's evaluation depends only on the golden trace (all cone
-border wires carry golden values), the per-cycle events are computed for all
-cycles at once: each cone gate is evaluated as a truth-table lookup over
-full trace columns.
+Every cycle's evaluation depends only on the golden trace (all cone border
+wires carry golden values), so all cycles are evaluated at once. Each wire
+is one *cycle vector*: a Python int whose bit ``c`` is the wire's value in
+cycle ``c``. The faulty Q vector is the golden one with every bit flipped;
+each gate the difference reaches is evaluated once with bitwise ops, by the
+same per-cell lane functions the bit-parallel simulator step is generated
+from (:func:`repro.sim.compiler.lane_function`). Gates are visited from the
+fault wire through the reader map in topological order, and only while the
+difference survives: a gate whose output equals golden in every cycle
+stops the walk, which is exact because its readers then see golden inputs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from heapq import heappop, heappush
 
 import numpy as np
 
-from repro.cells.library import Cell
-from repro.core.cone import compute_fault_cone
 from repro.netlist.netlist import Netlist
+from repro.sim.compiler import lane_function
 from repro.trace.trace import Trace
 
 #: Event codes (one character per cycle).
@@ -38,22 +44,123 @@ EVENT_HOLD = "h"
 EVENT_KILL = "k"
 
 
-def _cell_lut(cell: Cell, cache: dict[str, np.ndarray] | None) -> np.ndarray:
-    """Truth table of one cell as a ``2**npins`` lookup array."""
-    if cache is not None:
-        lut = cache.get(cell.name)
-        if lut is not None:
-            return lut
-    func = cell.function
-    npins = len(func.pins)
-    if npins > 16:
-        raise ValueError(f"cell {cell.name} has {npins} pins; LUT limit is 16")
-    lut = np.array(
-        [(func.table >> row) & 1 for row in range(1 << npins)], dtype=np.uint8
-    )
-    if cache is not None:
-        cache[cell.name] = lut
-    return lut
+def _cycle_vectors(trace: Trace) -> list[int]:
+    """Every trace column as an int, in column order: bit ``c`` is the
+    wire's value in cycle ``c``."""
+    packed = np.packbits(trace.matrix, axis=0, bitorder="little")
+    return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
+
+
+def _cycle_bits(vector: int, num_cycles: int) -> np.ndarray:
+    """A cycle vector unpacked to one ``uint8`` per cycle."""
+    raw = np.frombuffer(vector.to_bytes((num_cycles + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=num_cycles, bitorder="little")
+
+
+class EventClassifier:
+    """Per-cycle event strings of a netlist's flip-flops over one golden trace.
+
+    ``trace`` is the golden campaign trace (halting run, every wire
+    recorded); ``reads`` the per-cycle DFF-name sets the testbench read
+    during that same run (see ``Simulator.run(record_reads=True)``) — when
+    omitted, testbench reads are not treated as uses, which is only sound
+    for testbenches that never read state. The trace is converted to cycle
+    vectors once; :meth:`events` then costs one walk per flip-flop.
+    """
+
+    def __init__(
+        self,
+        netlist: Netlist,
+        trace: Trace,
+        reads: Sequence[frozenset[str]] | None = None,
+    ) -> None:
+        num_cycles = trace.num_cycles
+        if reads is not None and len(reads) != num_cycles:
+            raise ValueError(
+                f"reads length {len(reads)} != trace cycles {num_cycles}"
+            )
+        self.netlist = netlist
+        self.num_cycles = num_cycles
+        self.mask = (1 << num_cycles) - 1
+        self._golden = _cycle_vectors(trace)
+        self._column = column = trace.column_index
+
+        cells = {}
+        #: Per topological position: (lane function, input columns, output).
+        self._gates: list[tuple] = []
+        #: Column -> topological positions of the gates reading it.
+        self._readers: dict[int, list[int]] = {}
+        for position, gate in enumerate(netlist.topological_gates()):
+            cell = cells.get(gate.cell)
+            if cell is None:
+                library_cell = netlist.library[gate.cell]
+                cell = (lane_function(library_cell), library_cell.inputs)
+                cells[gate.cell] = cell
+            function, pins = cell
+            inputs = tuple(column(gate.inputs[pin]) for pin in pins)
+            self._gates.append((function, inputs, column(gate.output)))
+            for wire in set(inputs):
+                self._readers.setdefault(wire, []).append(position)
+
+        #: Column -> the endpoint roles it plays: the name of each flip-flop
+        #: whose D it is, and ``None`` once per primary output.
+        self._roles: dict[int, list[str | None]] = {}
+        for dff in netlist.dffs.values():
+            self._roles.setdefault(column(dff.d), []).append(dff.name)
+        for wire in netlist.outputs:
+            self._roles.setdefault(column(wire), []).append(None)
+
+        #: Flip-flop name -> cycle vector of the cycles the testbench read it.
+        self._reads: dict[str, int] = {}
+        for cycle, cycle_reads in enumerate(reads or ()):
+            for name in cycle_reads:
+                self._reads[name] = self._reads.get(name, 0) | (1 << cycle)
+
+    def events(self, dff_name: str) -> str:
+        """Per-cycle event string (``'e'``/``'h'``/``'k'``) for one flip-flop."""
+        dff = self.netlist.dffs[dff_name]
+        mask, golden, gates, readers = (
+            self.mask, self._golden, self._gates, self._readers
+        )
+        values = golden.copy()
+        fault = self._column(dff.q)
+        values[fault] ^= mask
+        changed = [fault]
+        queue = list(readers.get(fault, ()))  # ascending, so already a heap
+        queued = set(queue)
+        while queue:
+            function, inputs, output = gates[heappop(queue)]
+            value = function(mask, *[values[wire] for wire in inputs])
+            if value != values[output]:
+                values[output] = value
+                changed.append(output)
+                for position in readers.get(output, ()):
+                    if position not in queued:
+                        queued.add(position)
+                        heappush(queue, position)
+
+        # Escapes are per *role*, not per wire: a wire may drive several DFF
+        # D pins and outputs at once, and ``w``'s own D role is the hold
+        # signal, never an escape.
+        escape = self._reads.get(dff_name, 0)
+        hold = 0
+        for wire in changed:
+            difference = values[wire] ^ golden[wire]
+            for role in self._roles.get(wire, ()):
+                if role == dff_name:
+                    hold |= difference
+                else:
+                    escape |= difference
+        codes = np.where(
+            _cycle_bits(escape, self.num_cycles),
+            np.uint8(ord(EVENT_ESCAPE)),
+            np.where(
+                _cycle_bits(hold, self.num_cycles),
+                np.uint8(ord(EVENT_HOLD)),
+                np.uint8(ord(EVENT_KILL)),
+            ),
+        ).astype(np.uint8)
+        return codes.tobytes().decode("ascii")
 
 
 def wire_events(
@@ -61,73 +168,10 @@ def wire_events(
     trace: Trace,
     dff_name: str,
     reads: Sequence[frozenset[str]] | None = None,
-    lut_cache: dict[str, np.ndarray] | None = None,
 ) -> str:
     """Per-cycle event string (``'e'``/``'h'``/``'k'``) for one flip-flop.
 
-    ``trace`` is the golden campaign trace (halting run, every wire
-    recorded); ``reads`` the per-cycle DFF-name sets the testbench read
-    during that same run (see ``Simulator.run(record_reads=True)``) — when
-    omitted, testbench reads are not treated as uses, which is only sound
-    for testbenches that never read state.
+    A one-flip-flop :class:`EventClassifier`; analyzing many flip-flops
+    of one trace, build the classifier once instead.
     """
-    dff = netlist.dffs[dff_name]
-    fault_wire = dff.q
-    num_cycles = trace.num_cycles
-    if reads is not None and len(reads) != num_cycles:
-        raise ValueError(
-            f"reads length {len(reads)} != trace cycles {num_cycles}"
-        )
-
-    cone = compute_fault_cone(netlist, fault_wire)
-    # Faulty wire values across all cycles; border wires read golden columns.
-    faulty: dict[str, np.ndarray] = {fault_wire: trace.wire(fault_wire) ^ 1}
-    for gate in cone.cone_gates:
-        cell = netlist.library[gate.cell]
-        func = cell.function
-        row = np.zeros(num_cycles, dtype=np.uint16)
-        for pin_index, pin in enumerate(func.pins):
-            wire = gate.inputs[pin]
-            vec = faulty.get(wire)
-            if vec is None:
-                vec = trace.wire(wire)
-            row |= vec.astype(np.uint16) << pin_index
-        faulty[gate.output] = _cell_lut(cell, lut_cache)[row]
-
-    def diff(wire: str) -> np.ndarray | None:
-        """Boolean faulty-vs-golden difference vector, None outside cone."""
-        vec = faulty.get(wire)
-        if vec is None:
-            return None
-        return vec != trace.wire(wire)
-
-    escape = np.zeros(num_cycles, dtype=bool)
-    # Escapes are per *role*, not per wire: a wire may drive several DFF D
-    # pins and outputs at once, and ``w``'s own D role is the hold signal,
-    # never an escape.
-    for other_name, other in netlist.dffs.items():
-        if other_name == dff_name:
-            continue
-        other_diff = diff(other.d)
-        if other_diff is not None:
-            escape |= other_diff
-    for out_wire in netlist.outputs:
-        out_diff = diff(out_wire)
-        if out_diff is not None:
-            escape |= out_diff
-    if reads is not None:
-        escape |= np.fromiter(
-            (dff_name in cycle_reads for cycle_reads in reads),
-            dtype=bool,
-            count=num_cycles,
-        )
-
-    own_diff = diff(dff.d)
-    hold = own_diff if own_diff is not None else np.zeros(num_cycles, dtype=bool)
-
-    codes = np.where(
-        escape,
-        np.uint8(ord(EVENT_ESCAPE)),
-        np.where(hold, np.uint8(ord(EVENT_HOLD)), np.uint8(ord(EVENT_KILL))),
-    ).astype(np.uint8)
-    return codes.tobytes().decode("ascii")
+    return EventClassifier(netlist, trace, reads).events(dff_name)

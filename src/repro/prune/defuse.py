@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.netlist.netlist import Netlist
 from repro.obs import counter, span
-from repro.prune.access import EVENT_ESCAPE, EVENT_HOLD, EVENT_KILL, wire_events
+from repro.prune.access import EVENT_ESCAPE, EVENT_HOLD, EventClassifier
 from repro.trace.trace import Trace
 
 #: Interval kinds.
@@ -223,14 +223,12 @@ class EquivalenceMap:
     ) -> EquivalenceMap:
         """Analyze every flip-flop of ``netlist`` over the golden ``trace``."""
         wires: dict[str, WireClasses] = {}
-        lut_cache: dict[str, np.ndarray] = {}
         with span(
             "prune/analyze", netlist=netlist.name, cycles=trace.num_cycles
         ):
+            classifier = EventClassifier(netlist, trace, reads)
             for dff_name, dff in netlist.dffs.items():
-                events = wire_events(
-                    netlist, trace, dff_name, reads=reads, lut_cache=lut_cache
-                )
+                events = classifier.events(dff_name)
                 wires[dff_name] = WireClasses(dff_name, dff.q, events)
         counter("prune.maps.built").inc()
         counter("prune.wires.analyzed").inc(len(wires))

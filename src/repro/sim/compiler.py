@@ -23,6 +23,10 @@ Three entry points share the generated gate code:
   a vector of lanes (one fault-injected run per bit), for
   :meth:`repro.sim.Simulator.run_lanes`. It is compiled lazily, on first
   access.
+
+:func:`lane_function` renders one cell of the lane step's gate table as a
+callable ``f(mask, *pins)``, for the def-use analysis's cycle vectors
+(:mod:`repro.prune.access`).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import re
 from collections.abc import Callable
 from functools import cached_property
 
+from repro.cells.library import Cell
 from repro.netlist.netlist import CONST0, CONST1, Gate, Netlist
 from repro.netlist.validate import validate_netlist
 from repro.obs import counter, span
@@ -72,6 +77,36 @@ _LANE_TEMPLATES = {**_TEMPLATES, "MUX2": "{A} ^ ({S} & ({A} ^ {B}))"}
 
 #: The lane step's name for its lane-mask argument (all lanes set).
 _MASK = "m"
+
+
+def _cell_expression(
+    cell: Cell, env: dict[str, str], templates: dict, one: str
+) -> str:
+    """``cell``'s output as an expression over ``env`` (pin -> expression),
+    with the constant one rendered as ``one``."""
+    template = templates.get(cell.name)
+    if template is not None:
+        return template.format(one=one, **env)
+    # Fallback for cells without a hand-written template: tabulated SOP,
+    # whose pins and constant one are renamed token by token.
+    assert cell.function is not None
+    env = {**env, "1": one}
+    return re.sub(
+        r"\w+", lambda m: env.get(m.group(), m.group()),
+        cell.function.python_expression(),
+    )
+
+
+def lane_function(cell: Cell) -> Callable[..., int]:
+    """``cell`` as ``f(mask, *pins) -> int`` over lane vectors.
+
+    Pins are passed in ``cell.inputs`` order; every bit of ``mask`` is one
+    lane, evaluated independently. Rendered from the same gate table as
+    :attr:`CompiledNetlist.lane_step`, so both share one gate semantics.
+    """
+    env = {pin: f"p{index}" for index, pin in enumerate(cell.inputs)}
+    expression = _cell_expression(cell, env, _LANE_TEMPLATES, _MASK)
+    return eval(f"lambda {', '.join((_MASK, *env.values()))}: {expression}")
 
 
 class CompiledNetlist:
@@ -142,18 +177,7 @@ class CompiledNetlist:
 
     def _gate_expression(self, gate: Gate, templates: dict, one: str) -> str:
         env = {pin: self._ref(wire, one) for pin, wire in gate.inputs.items()}
-        template = templates.get(gate.cell)
-        if template is not None:
-            return template.format(one=one, **env)
-        # Fallback for cells without a hand-written template: tabulated SOP,
-        # whose pins and constant one are renamed token by token.
-        cell = self.netlist.library[gate.cell]
-        assert cell.function is not None
-        env["1"] = one
-        return re.sub(
-            r"\w+", lambda m: env.get(m.group(), m.group()),
-            cell.function.python_expression(),
-        )
+        return _cell_expression(self.netlist.library[gate.cell], env, templates, one)
 
     def _body(self, templates: dict = _TEMPLATES, one: str = "1") -> list[str]:
         """State unpacking plus one line per gate, in topological order."""

@@ -96,6 +96,28 @@ class TestCrashTolerance:
         assert sorted(state.records) == [0, 1]
         assert obs.get_registry().counter("campaign.journal.torn_tail").value == 1
 
+    @pytest.mark.parametrize("torn_bytes", [40, 10_000])
+    def test_reopen_truncates_torn_tail(self, tmp_path, torn_bytes):
+        path = tmp_path / "c.jsonl"
+        _write(path, records=2)
+        intact = path.read_bytes()
+        with open(path, "ab") as fh:
+            # A torn write, short or longer than the tail scan's chunk.
+            fh.write(b'{"kind": "record", "i": 2, "dff": "'.ljust(torn_bytes, b"x"))
+        with CampaignJournal(path, _header()) as journal:
+            assert path.read_bytes() == intact
+            journal.append_record(2, InjectionRecord("acc_b0", 4, Outcome.SDC))
+        state = load_journal(path)
+        assert sorted(state.records) == [0, 1, 2]
+        assert state.records[2].outcome is Outcome.SDC
+
+    def test_reopen_torn_header_writes_a_fresh_one(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"kind": "head')  # killed while writing the header
+        with CampaignJournal(path, _header()) as journal:
+            journal.append_record(0, InjectionRecord("acc_b0", 4, Outcome.SDC))
+        assert sorted(load_journal(path).records) == [0]
+
     def test_midfile_corruption_raises(self, tmp_path):
         path = tmp_path / "c.jsonl"
         _write(path, records=2)

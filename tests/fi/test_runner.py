@@ -176,6 +176,25 @@ class TestResume:
             reference.result
         )
 
+    def test_resume_after_torn_tail_bit_identical(self, tmp_path):
+        # A kill mid-append leaves a torn last line; the resumed journal
+        # must still load, with the records of an uninterrupted run.
+        points = CampaignRunner(ACCUM, _config()).sample_points(10, seed=4)
+        reference = CampaignRunner(ACCUM, _config()).run(
+            points, tmp_path / "ref.jsonl", seed=4
+        )
+        path = tmp_path / "c.jsonl"
+        CampaignRunner(ACCUM, _config(limit=3)).run(points, path, seed=4)
+        with open(path, "ab") as fh:
+            fh.write(b'{"kind": "record", "i": 5, "dff')
+        resumed = CampaignRunner(ACCUM, _config()).run(
+            points, path, resume=True, seed=4
+        )
+        assert resumed.complete
+        loaded = load_result(path)
+        assert _record_tuples(loaded) == _record_tuples(reference.result)
+        assert load_journal(path).complete
+
     def test_partial_journal_loads_as_valid_result(self, tmp_path):
         runner = CampaignRunner(ACCUM, _config(limit=4))
         points = runner.sample_points(10, seed=1)

@@ -16,10 +16,11 @@ import re
 
 import pytest
 
+from repro.cells.nangate15 import nangate15_library
 from repro.eval.example_circuit import figure1_netlist
 from repro.netlist import Netlist
 from repro.sim import CompiledNetlist, Simulator
-from repro.sim.compiler import _LANE_TEMPLATES, _TEMPLATES
+from repro.sim.compiler import _LANE_TEMPLATES, _TEMPLATES, lane_function
 from repro.sim.simulator import LaneStateView
 from tests.sim.test_compiler_fallback import (
     sop_fallback_library,
@@ -88,6 +89,32 @@ def test_lane_template_matches_scalar_in_every_lane(cell):
 def test_mux2_is_bitwise_only_in_the_lane_step():
     assert "if" in _TEMPLATES["MUX2"]
     assert "if" not in _LANE_TEMPLATES["MUX2"]
+
+
+@pytest.mark.parametrize(
+    "library", [nangate15_library(), sop_fallback_library()],
+    ids=["nangate15", "sop-fallback"],
+)
+def test_lane_function_matches_the_truth_table(library):
+    # The callable the def-use analysis evaluates cycle vectors with: every
+    # combinational cell, templated or SOP, against its BoolFunc table.
+    rng = random.Random(2018)
+    mask = (1 << WIDTH) - 1
+    for cell in library:
+        if cell.sequential:
+            continue
+        function = lane_function(cell)
+        for _ in range(20):
+            words = [rng.getrandbits(WIDTH) for _ in cell.inputs]
+            got = function(mask, *words)
+            assert got & ~mask == 0, f"{cell.name}: bits outside the mask"
+            for k in range(WIDTH):
+                assignment = {
+                    pin: (word >> k) & 1 for pin, word in zip(cell.inputs, words)
+                }
+                assert (got >> k) & 1 == cell.evaluate(assignment), (
+                    f"{cell.name}, lane {k}"
+                )
 
 
 def _sop_state_netlist():
