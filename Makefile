@@ -109,8 +109,8 @@ bench-gate:      ## benchmark self-tests + fast-path correctness gates
 	# Re-simulates 32 journal points per workload from cycle 0 with the
 	# scalar reference and exits nonzero on any mismatch; the cold
 	# analysis must reproduce the recorded def-use, static and MATE counts.
-	$(PYTHON) -m bench run --workload avr-inline --workload msp430-layered \
-		--workload analysis --trace 0 --seconds 5
+	$(PYTHON) -m bench run --workload avr-inline --workload avr-workers2 \
+		--workload msp430-layered --workload analysis --trace 0 --seconds 5
 	# Lanes vs scalar on avr-conv, whose checkpoint interval is 32, so
 	# lanes peel between checkpoints: the same points inline (bit-parallel
 	# lanes) and on 2 pool workers (scalar, one point at a time). The two

@@ -12,24 +12,33 @@ Pipeline:
 7. :mod:`repro.core.faultspace` — flip-flop × cycle fault-space accounting.
 """
 
-from repro.core.cone import FaultCone, compute_fault_cone
-from repro.core.faultspace import FaultSpace
-from repro.core.implication import ImplicationEngine, forcing_ancestors
-from repro.core.intercycle import RegisterAccessModel, intercycle_benign
-from repro.core.mate import Mate, MateSet
-from repro.core.multibit import adjacent_register_pairs, find_pair_mates
-from repro.core.multicycle import masked_within_k_cycles, multicycle_headroom
-from repro.core.paths import PathEnumeration, enumerate_paths
-from repro.core.replay import ReplayResult, replay_mates
-from repro.core.search import (
-    SearchParameters,
-    SearchResult,
-    WireSearchResult,
-    faulty_wires_for_dffs,
-    find_mates,
+from repro.util.lazy import lazy_exports
+
+# Submodules load on first use: the injection path imports
+# ``repro.core.faultspace`` and must not pay for the MATE search or numpy.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cone": ("FaultCone", "compute_fault_cone"),
+        "faultspace": ("FaultSpace",),
+        "implication": ("ImplicationEngine", "forcing_ancestors"),
+        "intercycle": ("RegisterAccessModel", "intercycle_benign"),
+        "mate": ("Mate", "MateSet"),
+        "multibit": ("adjacent_register_pairs", "find_pair_mates"),
+        "multicycle": ("masked_within_k_cycles", "multicycle_headroom"),
+        "paths": ("PathEnumeration", "enumerate_paths"),
+        "replay": ("ReplayResult", "replay_mates"),
+        "search": (
+            "SearchParameters",
+            "SearchResult",
+            "WireSearchResult",
+            "faulty_wires_for_dffs",
+            "find_mates",
+        ),
+        "selection": ("rate_mates", "select_top_n"),
+        "verify": ("masked_within_one_cycle", "verify_mate_on_trace"),
+    },
 )
-from repro.core.selection import rate_mates, select_top_n
-from repro.core.verify import masked_within_one_cycle, verify_mate_on_trace
 
 __all__ = [
     "FaultCone",

@@ -15,18 +15,8 @@ import tempfile
 import warnings
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.core.mate import Mate, MateSet
-from repro.core.search import (
-    SearchParameters,
-    SearchResult,
-    WireSearchResult,
-    faulty_wires_for_dffs,
-    find_mates,
-    record_search_metrics,
-)
 from repro.cpu.avr import AvrSystem, synthesize_avr
 from repro.cpu.msp430 import Msp430System, synthesize_msp430
 from repro.netlist.json_io import netlist_content_hash
@@ -34,7 +24,14 @@ from repro.netlist.netlist import Netlist
 from repro.obs import counter, span
 from repro.programs import avr_conv, avr_fib, msp430_conv, msp430_fib
 from repro.sim.simulator import Simulator
-from repro.trace.trace import Trace
+
+# Campaigns build their targets through this module's netlist, simulator
+# and hash memos; numpy, the MATE search and traces are imported by the
+# functions that need them, so that path never loads them.
+if TYPE_CHECKING:
+    from repro.core.mate import Mate
+    from repro.core.search import SearchParameters, SearchResult
+    from repro.trace.trace import Trace
 
 #: The paper's trace length for both test programs.
 TRACE_CYCLES = 8500
@@ -124,6 +121,10 @@ def make_system(core: str, program: str, halt: bool = False):
 @lru_cache(maxsize=None)
 def get_trace(core: str, program: str, cycles: int = TRACE_CYCLES) -> Trace:
     """Full-wire execution trace (free-running program), disk-cached."""
+    import numpy as np
+
+    from repro.trace.trace import Trace
+
     path = cache_dir() / f"trace_{core}_{program}_{cycles}_{netlist_hash(core)}.npz"
     if path.exists():
         try:
@@ -189,6 +190,9 @@ def _search_to_json(result: SearchResult) -> str:
 
 
 def _search_from_json(text: str, params: SearchParameters) -> SearchResult:
+    from repro.core.mate import Mate
+    from repro.core.search import SearchResult, WireSearchResult
+
     doc = json.loads(text)
     wires = []
     for r in doc["wires"]:
@@ -235,6 +239,13 @@ def get_search(
     params: SearchParameters | None = None,
 ) -> SearchResult:
     """MATE search result for one (core, FF-set) input, disk-cached."""
+    from repro.core.search import (
+        SearchParameters,
+        faulty_wires_for_dffs,
+        find_mates,
+        record_search_metrics,
+    )
+
     params = params or SearchParameters()
     suffix = "noRF" if exclude_register_file else "FF"
     path = cache_dir() / (
@@ -267,6 +278,8 @@ def get_search(
 
 def get_fault_wires(core: str, exclude_register_file: bool) -> list[str]:
     """Fault-space wires for one (core, FF-set) input."""
+    from repro.core.search import faulty_wires_for_dffs
+
     return list(
         faulty_wires_for_dffs(
             get_netlist(core), exclude_register_file=exclude_register_file
@@ -293,7 +306,6 @@ __all__ = [
     "CORES",
     "PROGRAMS",
     "TRACE_CYCLES",
-    "MateSet",
     "cache_dir",
     "clear_disk_cache",
     "completed_searches",

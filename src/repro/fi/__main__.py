@@ -311,7 +311,7 @@ def _print_report(report: RunReport) -> int:
 class _ConsoleDashboard(obs.CampaignDashboard):
     """Campaign dashboard that mirrors updates to live console subscribers.
 
-    With ``--serve`` the run's :class:`_RunConsole` provider and its
+    With ``--serve`` the run's :func:`_run_console` provider and its
     thread handle are attached after construction; each runner update then
     pushes a throttled ``status`` SSE event so open dashboards track the
     run without waiting for their 2 s poll.
@@ -336,76 +336,76 @@ class _ConsoleDashboard(obs.CampaignDashboard):
         handle.publish("status", provider.status_doc())
 
 
-class _RunConsole(obs.ConsoleProvider):
+def _run_console(dashboard: obs.CampaignDashboard, name: str):
     """Console provider over one single-host run (``fi run --serve``).
 
     Mirrors the coordinator's ``/status.json`` shape — one campaign, no
     shard table — so the same dashboard page serves both deployments.
+    Built on the ``--serve`` path only: its base class lives in
+    :mod:`repro.obs.http`, which loads asyncio.
     """
 
-    def __init__(self, dashboard: obs.CampaignDashboard, name: str) -> None:
-        self._dashboard = dashboard
-        self._name = name
+    class RunConsole(obs.ConsoleProvider):
+        def title(self) -> str:
+            return f"repro fi run — {name}"
 
-    def title(self) -> str:
-        return f"repro fi run — {self._name}"
+        def metrics_text(self) -> str:
+            telemetry_dir = dashboard.telemetry_dir
+            return obs.merged_metrics_text(
+                [telemetry_dir] if telemetry_dir is not None else []
+            )
 
-    def metrics_text(self) -> str:
-        telemetry_dir = self._dashboard.telemetry_dir
-        return obs.merged_metrics_text(
-            [telemetry_dir] if telemetry_dir is not None else []
-        )
-
-    def status_doc(self) -> dict:
-        dashboard = self._dashboard
-        done = dashboard.executed + dashboard.skipped
-        outcomes = {
-            outcome.value: obs.counter(
-                f"campaign.outcome.{outcome.value}"
-            ).value
-            for outcome in Outcome
-        }
-        if not dashboard.enabled:
-            # No TTY panel driving the telemetry tails — poll them here so
-            # the worker table still fills in (dict reads/writes are safe
-            # under the GIL; worst case a refresh sees a stale row).
-            dashboard._poll_workers()
-        workers = [
-            {
-                "pid": row.pid,
-                "peer": "local pool",
-                "records": row.done,
-                "shards_taken": 0,
-                "authenticated": False,
-                "rss_bytes": None,
-                "cpu_percent": None,
+        def status_doc(self) -> dict:
+            done = dashboard.executed + dashboard.skipped
+            outcomes = {
+                outcome.value: obs.counter(
+                    f"campaign.outcome.{outcome.value}"
+                ).value
+                for outcome in Outcome
             }
-            for _, row in sorted(dashboard._workers.items())
-        ]
-        return {
-            "kind": "status",
-            "workers": len(workers),
-            "rate": dashboard.rolling_rate,
-            "alerts": [],
-            "alerts_fired_total": 0,
-            "worker_table": workers,
-            "campaigns": [
+            if not dashboard.enabled:
+                # No TTY panel driving the telemetry tails — poll them here
+                # so the worker table still fills in (dict reads/writes are
+                # safe under the GIL; worst case a refresh sees a stale row).
+                dashboard._poll_workers()
+            workers = [
                 {
-                    "name": self._name,
-                    "status": (
-                        "complete" if done >= dashboard.total else "running"
-                    ),
-                    "done": done,
-                    "total": dashboard.total,
-                    "quarantined": dashboard.quarantined,
-                    "retries": dashboard.retries,
-                    "eta_seconds": dashboard.eta_seconds,
-                    "outcomes": {k: v for k, v in outcomes.items() if v},
-                    "store_id": None,
-                    "shards": [],
+                    "pid": row.pid,
+                    "peer": "local pool",
+                    "records": row.done,
+                    "shards_taken": 0,
+                    "authenticated": False,
+                    "rss_bytes": None,
+                    "cpu_percent": None,
                 }
-            ],
-        }
+                for _, row in sorted(dashboard._workers.items())
+            ]
+            return {
+                "kind": "status",
+                "workers": len(workers),
+                "rate": dashboard.rolling_rate,
+                "alerts": [],
+                "alerts_fired_total": 0,
+                "worker_table": workers,
+                "campaigns": [
+                    {
+                        "name": name,
+                        "status": (
+                            "complete" if done >= dashboard.total else "running"
+                        ),
+                        "done": done,
+                        "total": dashboard.total,
+                        "quarantined": dashboard.quarantined,
+                        "retries": dashboard.retries,
+                        "eta_seconds": dashboard.eta_seconds,
+                        "outcomes": {k: v for k, v in outcomes.items() if v},
+                        "store_id": None,
+                        "shards": [],
+                    }
+                ],
+            }
+
+    return RunConsole()
 
 
 def _execute(
@@ -426,7 +426,7 @@ def _execute(
     handle = None
     serve_port = getattr(args, "serve", None)
     if serve_port is not None:
-        provider = _RunConsole(dashboard, runner.target.name)
+        provider = _run_console(dashboard, runner.target.name)
         handle = obs.start_in_thread(provider, port=serve_port)
         dashboard.console = handle
         dashboard.provider = provider

@@ -26,9 +26,10 @@ import random
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.faultspace import FaultSpace
 from repro.fi.classify import Outcome
+from repro.netlist.json_io import netlist_content_hash
 from repro.obs import counter, gauge, span
 from repro.sim.simulator import (
     Checkpoint,
@@ -37,6 +38,9 @@ from repro.sim.simulator import (
     Simulator,
 )
 from repro.sim.testbench import Testbench
+
+if TYPE_CHECKING:
+    from repro.core.faultspace import FaultSpace
 
 
 @dataclass
@@ -50,6 +54,15 @@ class CampaignTarget:
     observables: Callable[[Testbench, SimulationResult], object]
     #: Safety margin on top of the golden run length.
     timeout_factor: float = 2.0
+    #: Memoized content hash of ``simulator.netlist``, for builders that
+    #: already keep one; :meth:`netlist_hash` otherwise computes it.
+    content_hash: Callable[[], str] | None = None
+
+    def netlist_hash(self) -> str:
+        """Content hash of the target netlist (journal and cache key)."""
+        if self.content_hash is not None:
+            return self.content_hash()
+        return netlist_content_hash(self.simulator.netlist)
 
     def fault_wires(self, exclude_register_file: bool = False) -> list[str]:
         """Flip-flop Q wires of the target (the injectable fault sites)."""

@@ -34,10 +34,9 @@ import threading
 import time
 from collections import deque
 from collections.abc import Mapping
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.fi.campaign import Campaign, CampaignResult, CampaignTarget, InjectionRecord
 from repro.fi.classify import Outcome
@@ -48,10 +47,12 @@ from repro.fi.journal import (
     load_journal,
     points_hash,
 )
-from repro.netlist.json_io import netlist_content_hash
 from repro.obs import counter, events, gauge, histogram, remote, resource, span
 from repro.obs.dashboard import CampaignDashboard
 from repro.obs.remote import MergedTelemetry
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,7 @@ class CampaignRunner:
             start = time.monotonic()
             self.campaign = Campaign(self.target, max_cycles=self.config.max_cycles)
             self.golden_wall_seconds = time.monotonic() - start
-        self.netlist_hash = netlist_content_hash(self.target.simulator.netlist)
+        self.netlist_hash = self.target.netlist_hash()
         self._dashboard: CampaignDashboard | None = None
         self._plan: AnnotationPlan | None = None
         self._plan_followers: dict[int, list[int]] = {}
@@ -767,7 +768,9 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------
     def _make_pool(self) -> ProcessPoolExecutor:
+        # The pool machinery is imported here, so inline runs never load it.
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         telemetry_dir = (
             str(self.config.telemetry_dir)
@@ -791,6 +794,9 @@ class CampaignRunner:
 
     def _run_pool(self, points, pending, done, journal, report, stop) -> None:
         """Supervised ProcessPoolExecutor execution with timeouts/retries."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         config = self.config
         timeout = self.wall_timeout()
         queue = deque(pending)

@@ -69,7 +69,6 @@ from repro.fi.service.shards import (
 )
 from repro.fi.service.worker import ShardExecutor
 from repro.fi.targets import NAMED_TARGETS
-from repro.netlist.json_io import netlist_content_hash
 from repro.obs import counter, gauge, health, remote, resource, span
 from repro.obs.http import ConsoleProvider, ConsoleServer, merged_metrics_text
 
@@ -880,7 +879,7 @@ class Coordinator:
                 name=name,
                 target=spec.to_dict(),
                 workload=campaign.target.name,
-                netlist_hash=netlist_content_hash(netlist),
+                netlist_hash=campaign.target.netlist_hash(),
                 seed=seed,
                 golden_cycles=campaign.golden_cycles,
                 max_cycles=max_cycles,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.cpu.avr import AvrSystem
 from repro.cpu.msp430 import Msp430System
 from repro.fi.campaign import CampaignTarget
@@ -58,8 +60,12 @@ def named_target(name: str) -> CampaignTarget:
         raise ValueError(
             f"unknown target {name!r} (expected one of {', '.join(NAMED_TARGETS)})"
         )
-    from repro.eval.context import get_simulator
+    from repro.eval.context import get_simulator, netlist_hash
 
     core, _, program = name.partition("-")
     factory = avr_target if core == "avr" else msp430_target
-    return factory(program, get_simulator(core))
+    target = factory(program, get_simulator(core))
+    # One hash per process: the pruning plans key their caches by the same
+    # memo the runner's journal header reads.
+    target.content_hash = partial(netlist_hash, core)
+    return target

@@ -24,23 +24,32 @@ Typical library use::
         print(lint.render_text(report))
 """
 
-from repro.lint.baseline import load_baseline, write_baseline
-from repro.lint.diagnostics import Diagnostic, LintReport, Severity
-from repro.lint.registry import (
-    LintConfig,
-    LintRule,
-    LintTarget,
-    RuleRegistry,
-    default_registry,
-    rule,
-)
-from repro.lint.reporters import render_json, render_text
-from repro.lint.runner import run_lint
-from repro.lint.static_mate import (
-    MateAudit,
-    StaticMateChecker,
-    StaticMateVerdict,
-    audit_mates,
+from repro.util.lazy import lazy_exports
+
+# Submodules load on first use: netlist validation imports
+# ``repro.lint.registry`` and must not pay for the static MATE checker.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "baseline": ("load_baseline", "write_baseline"),
+        "diagnostics": ("Diagnostic", "LintReport", "Severity"),
+        "registry": (
+            "LintConfig",
+            "LintRule",
+            "LintTarget",
+            "RuleRegistry",
+            "default_registry",
+            "rule",
+        ),
+        "reporters": ("render_json", "render_text"),
+        "runner": ("run_lint",),
+        "static_mate": (
+            "MateAudit",
+            "StaticMateChecker",
+            "StaticMateVerdict",
+            "audit_mates",
+        ),
+    },
 )
 
 __all__ = [

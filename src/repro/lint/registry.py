@@ -15,6 +15,7 @@ required facets are missing are skipped (and recorded on the report).
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -345,17 +346,34 @@ def rule(
     return decorate
 
 
-def default_registry() -> RuleRegistry:
-    """The registry holding every built-in rule (imports rule modules)."""
-    # Importing the rule modules has the side effect of registering their
-    # rules; repeat imports are no-ops.
-    from repro.lint import (  # noqa: F401
-        rules_dataflow,
-        rules_netlist,
-        rules_prune,
-        rules_rtl,
-        rules_synth,
-        static_mate,
-    )
+def registered_rule(rule_id: str) -> LintRule:
+    """A rule already in the process-global registry (imports nothing).
 
+    Rule checks look themselves up through this, so running one rule never
+    loads the other rule modules.
+    """
+    return _DEFAULT_REGISTRY.get(rule_id)
+
+
+#: The built-in rule modules, relative to :mod:`repro.lint`.
+RULE_MODULES = (
+    "rules_dataflow",
+    "rules_netlist",
+    "rules_prune",
+    "rules_rtl",
+    "rules_synth",
+    "static_mate",
+)
+
+
+def default_registry(modules: Iterable[str] = RULE_MODULES) -> RuleRegistry:
+    """The registry of built-in rules, with ``modules`` imported into it.
+
+    Importing a rule module registers its rules; repeat imports are no-ops.
+    Narrowing ``modules`` keeps a caller from loading rule modules it never
+    selects from (:func:`repro.netlist.validate_netlist` loads only
+    ``rules_netlist``, the home of every ``validate``-tagged rule).
+    """
+    for name in modules:
+        importlib.import_module(f"repro.lint.{name}")
     return _DEFAULT_REGISTRY

@@ -18,13 +18,8 @@ import random
 from collections.abc import Iterator
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import LintConfig, LintTarget, rule
+from repro.lint.registry import LintConfig, LintTarget, registered_rule, rule
 
-
-def _self(rule_id: str):
-    from repro.lint.registry import default_registry
-
-    return default_registry().get(rule_id)
 
 
 def _sample(population: list, count: int, rng: random.Random) -> list:
@@ -54,7 +49,7 @@ def check_static_claims(
     """
     from repro.prune import verify_static_claim
 
-    rule_def = _self("dataflow.claim-invalid")
+    rule_def = registered_rule("dataflow.claim-invalid")
     audit = target.dataflow
     cfg = audit.cfg
     for claim in audit.map.claims:
@@ -88,7 +83,7 @@ def check_static_dead_points(
     """
     from repro.fi.classify import Outcome
 
-    rule_def = _self("dataflow.dead-refuted")
+    rule_def = registered_rule("dataflow.dead-refuted")
     audit = target.dataflow
     static_map = audit.map
     rng = random.Random(config.dataflow_seed)

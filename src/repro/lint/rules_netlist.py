@@ -18,7 +18,7 @@ from collections.abc import Iterator
 
 from repro.cells.masking import gate_masking_terms
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import LintConfig, LintTarget, rule
+from repro.lint.registry import LintConfig, LintTarget, registered_rule, rule
 from repro.netlist.netlist import CONST_WIRES, Gate, Netlist
 
 # ----------------------------------------------------------------------
@@ -140,7 +140,7 @@ def _loc(netlist: Netlist, where: str) -> str:
 def check_unknown_cell(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.unknown-cell")
+    rule_def = registered_rule("net.unknown-cell")
     for gate in netlist.gates.values():
         if gate.cell not in netlist.library:
             yield rule_def.diagnostic(
@@ -161,7 +161,7 @@ def check_unknown_cell(target: LintTarget, config: LintConfig) -> Iterator[Diagn
 def check_pin_mismatch(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.pin-mismatch")
+    rule_def = registered_rule("net.pin-mismatch")
     for gate in netlist.gates.values():
         if gate.cell not in netlist.library:
             continue  # reported by net.unknown-cell
@@ -194,7 +194,7 @@ def check_pin_mismatch(target: LintTarget, config: LintConfig) -> Iterator[Diagn
 def check_multi_driven(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.multi-driven")
+    rule_def = registered_rule("net.multi-driven")
     for wire, labels in sorted(_driver_labels(netlist).items()):
         if len(labels) > 1:
             yield rule_def.diagnostic(
@@ -215,7 +215,7 @@ def check_multi_driven(target: LintTarget, config: LintConfig) -> Iterator[Diagn
 def check_undriven(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.undriven")
+    rule_def = registered_rule("net.undriven")
     driven = set(_driver_labels(netlist))
     for gate in netlist.gates.values():
         for pin, wire in sorted(gate.inputs.items()):
@@ -249,7 +249,7 @@ def check_undriven(target: LintTarget, config: LintConfig) -> Iterator[Diagnosti
 def check_input_driven(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.input-driven")
+    rule_def = registered_rule("net.input-driven")
     for wire, labels in sorted(_driver_labels(netlist).items()):
         internal = [label for label in labels if label != "primary input"]
         if wire in netlist.inputs and internal:
@@ -270,7 +270,7 @@ def check_input_driven(target: LintTarget, config: LintConfig) -> Iterator[Diagn
 def check_const_driven(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.const-driven")
+    rule_def = registered_rule("net.const-driven")
     for gate in netlist.gates.values():
         if gate.output in CONST_WIRES:
             yield rule_def.diagnostic(
@@ -296,7 +296,7 @@ def check_const_driven(target: LintTarget, config: LintConfig) -> Iterator[Diagn
 def check_comb_loop(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.comb-loop")
+    rule_def = registered_rule("net.comb-loop")
     _, stuck = _tolerant_topo(netlist)
     remaining = list(stuck)
     while remaining:
@@ -329,7 +329,7 @@ def check_comb_loop(target: LintTarget, config: LintConfig) -> Iterator[Diagnost
 def check_dead_gate(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.dead-gate")
+    rule_def = registered_rule("net.dead-gate")
     read: set[str] = set()
     for gate in netlist.gates.values():
         read.update(gate.inputs.values())
@@ -355,7 +355,7 @@ def check_dead_gate(target: LintTarget, config: LintConfig) -> Iterator[Diagnost
 def check_dff_const_d(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.dff-const-d")
+    rule_def = registered_rule("net.dff-const-d")
     for dff in netlist.dffs.values():
         if dff.d in CONST_WIRES:
             yield rule_def.diagnostic(
@@ -384,7 +384,7 @@ def check_dff_const_d(target: LintTarget, config: LintConfig) -> Iterator[Diagno
 def check_dff_unread(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.dff-unread")
+    rule_def = registered_rule("net.dff-unread")
     read: set[str] = set()
     for gate in netlist.gates.values():
         read.update(gate.inputs.values())
@@ -410,7 +410,7 @@ def check_dff_unread(target: LintTarget, config: LintConfig) -> Iterator[Diagnos
 def check_unreachable(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.unreachable")
+    rule_def = registered_rule("net.unreachable")
     reachable = _reachable_wires(netlist)
     driven = set(_driver_labels(netlist))
     for gate in netlist.gates.values():
@@ -439,7 +439,7 @@ def check_no_masking_cell(
 ) -> Iterator[Diagnostic]:
     netlist = target.netlist
     assert netlist is not None
-    rule_def = _self("net.no-masking-cell")
+    rule_def = registered_rule("net.no-masking-cell")
     instances: dict[str, int] = {}
     for gate in netlist.gates.values():
         instances[gate.cell] = instances.get(gate.cell, 0) + 1
@@ -461,9 +461,3 @@ def check_no_masking_cell(
             hint="MATE search cannot block propagation at these gates",
         )
 
-
-def _self(rule_id: str):
-    """The registered rule object for a rule defined in this module."""
-    from repro.lint.registry import default_registry
-
-    return default_registry().get(rule_id)

@@ -19,13 +19,8 @@ import random
 from collections.abc import Iterator
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import LintConfig, LintTarget, rule
+from repro.lint.registry import LintConfig, LintTarget, registered_rule, rule
 
-
-def _self(rule_id: str):
-    from repro.lint.registry import default_registry
-
-    return default_registry().get(rule_id)
 
 
 def _sample(population: list, count: int, rng: random.Random) -> list:
@@ -53,7 +48,7 @@ def check_certificates(
     """
     from repro.prune import verify_claim
 
-    rule_def = _self("prune.cert-invalid")
+    rule_def = registered_rule("prune.cert-invalid")
     audit = target.prune
     analysis = audit.analysis
     rng = random.Random(config.prune_seed)
@@ -96,7 +91,7 @@ def check_dead_intervals(
     from repro.fi.classify import Outcome
     from repro.prune.defuse import KIND_DEAD
 
-    rule_def = _self("prune.dead-refuted")
+    rule_def = registered_rule("prune.dead-refuted")
     audit = target.prune
     rng = random.Random(config.prune_seed + 1)
     dead = [claim for claim in audit.map.claims() if claim.kind == KIND_DEAD]
@@ -130,7 +125,7 @@ def check_equivalence_intervals(
     """Ground-truth pairs: representative vs. random member per interval."""
     from repro.prune.defuse import KIND_DEAD
 
-    rule_def = _self("prune.equiv-refuted")
+    rule_def = registered_rule("prune.equiv-refuted")
     audit = target.prune
     rng = random.Random(config.prune_seed + 2)
     multi = [

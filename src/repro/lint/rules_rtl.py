@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import LintConfig, LintTarget, rule
+from repro.lint.registry import LintConfig, LintTarget, registered_rule, rule
 from repro.rtl.circuit import Reg, RtlCircuit
 from repro.rtl.expr import (
     Add,
@@ -169,7 +169,7 @@ def check_width_mismatch(
 ) -> Iterator[Diagnostic]:
     circuit = target.circuit
     assert circuit is not None
-    rule_def = _self("rtl.width-mismatch")
+    rule_def = registered_rule("rtl.width-mismatch")
     for root_name, root in _root_exprs(circuit).items():
         reported = 0
         for node in _iter_nodes([root]):
@@ -210,7 +210,7 @@ def check_width_mismatch(
 def check_no_next(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     circuit = target.circuit
     assert circuit is not None
-    rule_def = _self("rtl.no-next")
+    rule_def = registered_rule("rtl.no-next")
     for name, reg in circuit.regs.items():
         if not reg.has_next:
             yield rule_def.diagnostic(
@@ -231,7 +231,7 @@ def check_no_next(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic
 def check_unused_signal(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
     circuit = target.circuit
     assert circuit is not None
-    rule_def = _self("rtl.unused-signal")
+    rule_def = registered_rule("rtl.unused-signal")
     # Liveness fixpoint: a signal is live when an output reads it, or when a
     # live register's next-value reads it. A register feeding only itself
     # (or a clique of dead registers) is dead state.
@@ -277,7 +277,7 @@ def check_dropped_wire(target: LintTarget, config: LintConfig) -> Iterator[Diagn
     circuit = target.circuit
     netlist = target.netlist
     assert circuit is not None and netlist is not None
-    rule_def = _self("synth.dropped-wire")
+    rule_def = registered_rule("synth.dropped-wire")
     outputs = set(netlist.outputs)
     for name, expr in circuit.outputs.items():
         missing = [
@@ -307,9 +307,3 @@ def check_dropped_wire(target: LintTarget, config: LintConfig) -> Iterator[Diagn
                 hint="faults in dropped state bits can never be injected",
             )
 
-
-def _self(rule_id: str):
-    """The registered rule object for a rule defined in this module."""
-    from repro.lint.registry import default_registry
-
-    return default_registry().get(rule_id)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import LintConfig, LintTarget, rule
+from repro.lint.registry import LintConfig, LintTarget, registered_rule, rule
 
 
 @rule(
@@ -35,7 +35,7 @@ def check_synth_equivalence(
     assert circuit is not None and netlist is not None
     from repro.synth import verify_synthesis
 
-    rule_def = _self("synth.not-equivalent")
+    rule_def = registered_rule("synth.not-equivalent")
     try:
         result = verify_synthesis(circuit, netlist)
     except ValueError as error:
@@ -69,7 +69,7 @@ def check_missed_coverage(
     assert netlist is not None
     from repro.core.coverage import exact_maskability
 
-    rule_def = _self("mate.missed-coverage")
+    rule_def = registered_rule("mate.missed-coverage")
     for wire in target.unmatched:
         verdict = exact_maskability(
             netlist, wire, max_conflicts=config.coverage_max_conflicts
@@ -84,9 +84,3 @@ def check_missed_coverage(
             "term; the witness is one",
         )
 
-
-def _self(rule_id: str):
-    """The registered rule object for a rule defined in this module."""
-    from repro.lint.registry import default_registry
-
-    return default_registry().get(rule_id)

@@ -52,7 +52,7 @@ from repro.core.cone import FaultCone, compute_fault_cone
 from repro.core.implication import ImplicationEngine
 from repro.core.mate import Mate
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.registry import LintConfig, LintTarget, rule
+from repro.lint.registry import LintConfig, LintTarget, registered_rule, rule
 from repro.netlist.netlist import CONST0, CONST1, Gate, Netlist
 from repro.obs import counter, histogram
 
@@ -657,7 +657,7 @@ def _mate_location(target: LintTarget, verdict: StaticMateVerdict) -> str:
     requires=("netlist", "mates"),
 )
 def check_mate_unsound(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
-    rule_def = _self("mate.unsound")
+    rule_def = registered_rule("mate.unsound")
     for verdict in _verdicts_for(target, config):
         if verdict.status != REFUTED:
             continue
@@ -677,7 +677,7 @@ def check_mate_unsound(target: LintTarget, config: LintConfig) -> Iterator[Diagn
     requires=("netlist", "mates"),
 )
 def check_mate_budget(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
-    rule_def = _self("mate.budget-exceeded")
+    rule_def = registered_rule("mate.budget-exceeded")
     for verdict in _verdicts_for(target, config):
         if verdict.status != SKIPPED:
             continue
@@ -698,7 +698,7 @@ def check_mate_budget(target: LintTarget, config: LintConfig) -> Iterator[Diagno
     requires=("netlist", "mates"),
 )
 def check_mate_vacuous(target: LintTarget, config: LintConfig) -> Iterator[Diagnostic]:
-    rule_def = _self("mate.vacuous")
+    rule_def = registered_rule("mate.vacuous")
     for verdict in _verdicts_for(target, config):
         if verdict.status != VACUOUS:
             continue
@@ -709,9 +709,3 @@ def check_mate_vacuous(target: LintTarget, config: LintConfig) -> Iterator[Diagn
             hint="a trigger that never fires wastes hardware checker slots",
         )
 
-
-def _self(rule_id: str):
-    """The registered rule object for a rule defined in this module."""
-    from repro.lint.registry import default_registry
-
-    return default_registry().get(rule_id)

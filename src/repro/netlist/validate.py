@@ -45,7 +45,7 @@ def validate_netlist(netlist: Netlist, allow_dangling_outputs: bool = True) -> N
     target = LintTarget.for_netlist(netlist)
     config = LintConfig()
     problems: list[str] = []
-    for rule in default_registry().select(tags=tags):
+    for rule in default_registry(["rules_netlist"]).select(tags=tags):
         problems.extend(d.message for d in rule.check(target, config))
     if problems:
         raise NetlistError(problems)

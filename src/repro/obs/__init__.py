@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.obs import events, flame, health, http, remote, resource, traceevent
+from repro.obs import events, remote, resource
 from repro.obs.dashboard import CampaignDashboard
 from repro.obs.events import JsonlSink, clear_sinks, emit, install_sink, remove_sink
 from repro.obs.export import (
@@ -52,14 +52,6 @@ from repro.obs.export import (
     snapshot,
     summary,
     write_json,
-)
-from repro.obs.flame import collapsed_stacks, render_flamegraph, write_flamegraph
-from repro.obs.health import Alert, HealthMonitor, default_rules
-from repro.obs.http import (
-    ConsoleProvider,
-    ConsoleServer,
-    merged_metrics_text,
-    start_in_thread,
 )
 from repro.obs.metrics import (
     Counter,
@@ -79,7 +71,24 @@ from repro.obs.progress import Progress, progress_enabled, progress_iter, set_pr
 from repro.obs.remote import MergedTelemetry, TelemetryWriter, collect
 from repro.obs.resource import ResourceSample, ResourceSampler, sample_self
 from repro.obs.spans import Span, current_path, is_enabled, set_enabled, span, timed
-from repro.obs.traceevent import write_trace
+from repro.util.lazy import lazy_exports
+
+# The console (asyncio), flamegraph, health and trace-export modules load on
+# first use, so instrumented code that only counts and times pays for none.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "flame": ("collapsed_stacks", "render_flamegraph", "write_flamegraph"),
+        "health": ("Alert", "HealthMonitor", "default_rules"),
+        "http": (
+            "ConsoleProvider",
+            "ConsoleServer",
+            "merged_metrics_text",
+            "start_in_thread",
+        ),
+        "traceevent": ("write_trace",),
+    },
+)
 
 
 def configure(

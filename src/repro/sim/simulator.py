@@ -30,15 +30,16 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.netlist.netlist import Netlist
 from repro.obs import counter, span
 from repro.sim.compiler import CompiledNetlist
 from repro.sim.testbench import Testbench
 from repro.synth.lower import bit_name
-from repro.trace.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.trace.trace import Trace
 
 #: Register name → (reader, present DFF names). ``reader(state)`` assembles
 #: the word; bits optimized away read as 0 and are not in the name tuple.
@@ -395,6 +396,11 @@ class Simulator:
 
         trace = None
         if rows is not None:
+            # Imported here: only tracing runs need numpy, injection never.
+            import numpy as np
+
+            from repro.trace.trace import Trace
+
             matrix = np.array(rows, dtype=np.uint8) if rows else np.zeros(
                 (0, len(self.compiled.trace_wires)), dtype=np.uint8
             )

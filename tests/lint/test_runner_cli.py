@@ -84,6 +84,15 @@ class TestRunner:
         assert "net.comb-loop" in by_rule
         assert "net.dead-gate" not in by_rule  # quality tag, not validate
 
+    def test_validation_rules_all_live_in_rules_netlist(self):
+        # validate_netlist loads only rules_netlist; a validate-tagged rule
+        # anywhere else would run or not depending on what was imported.
+        from repro.lint import default_registry, rules_netlist
+
+        chosen = default_registry().select(tags={"validate", "strict-validate"})
+        assert chosen
+        assert {r.check.__module__ for r in chosen} == {rules_netlist.__name__}
+
     def test_inapplicable_rules_recorded_as_skipped(self):
         target = LintTarget.for_netlist(_seeded_netlist())
         report = run_lint(target)
