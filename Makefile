@@ -6,7 +6,7 @@ export PYTHONPATH := src
 SMOKE := .repro_cache/smoke
 
 .PHONY: test test-fast test-resilience campaign-demo store-smoke prune-smoke \
-	dataflow-smoke dist-smoke bench bench-gate lint lint-self ruff tables
+	dataflow-smoke dist-smoke bench-gate lint lint-self ruff tables
 
 test:            ## full test suite
 	$(PYTHON) -m pytest
@@ -100,9 +100,6 @@ dist-smoke:      ## distributed service: 2 workers, one SIGKILLed, flip-free gat
 	# reference, and a SIGSTOP stall drill must trip (then clear) the
 	# stalled health rule.
 	$(PYTHON) scripts/dist_smoke.py --smoke-dir $(SMOKE)
-
-bench:           ## append a versioned perf snapshot (BENCH_<n+1>.json)
-	$(PYTHON) -m repro.eval bench --out-dir .
 
 bench-gate:      ## benchmark self-tests + fast-path correctness gates
 	$(PYTHON) -m pytest bench/tests -q

@@ -12,9 +12,6 @@ Usage::
     python -m repro.eval prune           # cross-layer pruning accounting
     python -m repro.eval all             # everything above except campaign/prune
     python -m repro.eval clear-cache     # drop cached traces/searches
-    python -m repro.eval bench --out-dir .        # versioned perf snapshot
-    #   (see repro.eval.bench; appends BENCH_<n>.json, auto-ingests into
-    #   the results warehouse; --baseline compares and fails on regression)
 
 ``campaign`` routes through the resilient runner (:mod:`repro.fi.runner`):
 injections are journaled under the artifact cache, so an interrupted run
@@ -22,6 +19,10 @@ resumes and a warm re-run replays instead of re-injecting; completed
 campaigns are warehoused (:mod:`repro.store`) for cross-run diffing. It
 stays out of ``all`` because it executes real injection campaigns
 (minutes, not seconds, on a cold cache).
+
+Performance is measured by the top-level ``bench`` package, not here:
+``python -m bench run`` / ``python -m bench compare`` and ``make
+bench-gate`` (see ``bench/README.md``).
 
 Observability (see README "Observability" and :mod:`repro.obs`)::
 
@@ -106,13 +107,6 @@ def _write_lint_report(path: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["bench"]:
-        # bench has its own option surface; dispatch before the
-        # experiment parser rejects its flags.
-        from repro.eval.bench import main as bench_main
-
-        return bench_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-eval",
         description="Regenerate the paper's tables and figures.",

@@ -1,8 +1,8 @@
 """repro.store — the queryable cross-campaign results warehouse.
 
-Campaign journals (:mod:`repro.fi.journal`), merged worker telemetry
-(:mod:`repro.obs.remote`), and perf snapshots (:mod:`repro.eval.bench`)
-all flow into one SQLite database so results outlive their run::
+Campaign journals (:mod:`repro.fi.journal`) and merged worker telemetry
+(:mod:`repro.obs.remote`) flow into one SQLite database so results
+outlive their run::
 
     from repro.store import ResultsStore, diff_campaigns
 
@@ -12,21 +12,21 @@ all flow into one SQLite database so results outlive their run::
 
 Or from the shell::
 
-    python -m repro.store ingest camp.jsonl BENCH_6.json
+    python -m repro.store ingest camp.jsonl shards/   # journal, campaign dir
     python -m repro.store list
     python -m repro.store diff 1 2            # exit 1 on any outcome flip
     python -m repro.store heatmap 1 --out heat.html --compare 2
-    python -m repro.store trend               # exit 1 on >=2x perf regression
     python -m repro.store query "SELECT dff, COUNT(*) FROM outcomes \
         WHERE outcome='sdc' GROUP BY dff ORDER BY 2 DESC"
 
 :class:`~repro.fi.runner.CampaignRunner` (when configured with a
-``store_path``) and ``python -m repro.eval bench`` ingest automatically on
-completion, so the warehouse accumulates without ceremony.
+``store_path``) ingests automatically on completion, so the warehouse
+accumulates without ceremony. Performance history is not kept here: the
+top-level ``bench`` package measures it (``python -m bench run`` /
+``compare``, ``make bench-gate``).
 """
 
 from repro.store.db import (
-    BenchRow,
     CampaignRow,
     OutcomeRow,
     ResultsStore,
@@ -35,21 +35,16 @@ from repro.store.db import (
 )
 from repro.store.diff import CampaignDiff, OutcomeFlip, diff_campaigns
 from repro.store.heatmap import render_heatmap, write_heatmap
-from repro.store.trend import WorkloadTrend, bench_trend, format_trend
 
 __all__ = [
-    "BenchRow",
     "CampaignDiff",
     "CampaignRow",
     "OutcomeFlip",
     "OutcomeRow",
     "ResultsStore",
     "StoreError",
-    "WorkloadTrend",
-    "bench_trend",
     "default_db_path",
     "diff_campaigns",
-    "format_trend",
     "render_heatmap",
     "write_heatmap",
 ]

@@ -2,23 +2,22 @@
 
 Usage::
 
-    python -m repro.store ingest camp.jsonl BENCH_6.json   # auto-detects kind
-    python -m repro.store list                             # campaigns + benches
+    python -m repro.store ingest camp.jsonl shards/        # journal or campaign dir
+    python -m repro.store list                             # stored campaigns
     python -m repro.store show 1                           # one campaign
     python -m repro.store diff 1 2                         # exit 1 on any flip
     python -m repro.store heatmap 1 --out heat.html [--compare 2]
-    python -m repro.store trend [--workload campaign]      # exit 1 on regression
     python -m repro.store query "SELECT ..."               # read-only SQL
 
 ``--db`` selects the warehouse file (default:
-``.repro_cache/warehouse.sqlite3``, shared with the auto-ingest paths of
-``repro.fi`` and ``repro.eval bench``).
+``.repro_cache/warehouse.sqlite3``, shared with the auto-ingest path of
+``repro.fi``).
 
 ``diff`` is the regression gate for execution-engine changes: two
 campaigns on the same target must agree on every matched fault-space point
 ``(dff, bit, cycle)``; any classification flip exits 1 and is listed.
-``trend`` gates the perf trajectory the same way ``bench --baseline``
-does, but against the whole ingested history.
+Performance is gated elsewhere, by the top-level ``bench`` package
+(``python -m bench run`` / ``compare``, ``make bench-gate``).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.obs.export import aligned_table
 from repro.store.db import ResultsStore, StoreError
 from repro.store.diff import diff_campaigns
 from repro.store.heatmap import write_heatmap
-from repro.store.trend import bench_trend, format_trend
 
 #: Exit code for a clean run that found a difference/regression (the gate
 #: verdict), as opposed to 2 for operational errors.
@@ -41,7 +39,7 @@ EXIT_DIRTY = 1
 
 
 def _detect_kind(path: Path) -> str:
-    """``journal``, ``bench``, or ``campaign-dir``, sniffed from the path."""
+    """``journal`` or ``campaign-dir``, sniffed from the path."""
     if not path.exists():
         raise StoreError(f"no such file: {path}")
     if path.is_dir():
@@ -58,20 +56,12 @@ def _detect_kind(path: Path) -> str:
     try:
         doc = json.loads(head)
     except ValueError:
-        doc = None  # maybe pretty-printed JSON; checked whole-file below
+        doc = None
     if isinstance(doc, dict) and doc.get("kind") == "header":
         return "journal"
-    if isinstance(doc, dict) and doc.get("schema") == "repro-bench":
-        return "bench"
-    # A pretty-printed bench snapshot's first line is just "{".
-    try:
-        whole = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError:
-        whole = None
-    if isinstance(whole, dict) and whole.get("schema") == "repro-bench":
-        return "bench"
     raise StoreError(
-        f"{path} is neither a campaign journal nor a bench snapshot"
+        f"{path} is neither a campaign journal nor a sharded campaign "
+        "directory; ingest accepts only those"
     )
 
 
@@ -97,7 +87,7 @@ def _cmd_ingest(store: ResultsStore, args: argparse.Namespace) -> int:
                 f"ingested distributed campaign #{cid} from {path} "
                 f"({sum(tally.values())} outcome(s))"
             )
-        elif kind == "journal":
+        else:
             cid = store.ingest_journal(
                 path, telemetry_dir=args.telemetry_dir, label=args.label
             )
@@ -106,9 +96,6 @@ def _cmd_ingest(store: ResultsStore, args: argparse.Namespace) -> int:
                 f"ingested campaign #{cid} from {path} "
                 f"({sum(tally.values())} outcome(s))"
             )
-        else:
-            bid = store.ingest_bench(path)
-            print(f"ingested bench run #{bid} from {path}")
     return 0
 
 
@@ -142,25 +129,6 @@ def _cmd_list(store: ResultsStore, args: argparse.Namespace) -> int:
         ))
     else:
         print("no campaigns ingested")
-    benches = store.bench_runs()
-    if benches:
-        rows = [
-            [
-                str(b.id),
-                f"BENCH_{b.sequence}" if b.sequence is not None else "-",
-                "quick" if b.quick else "full",
-                str(len(b.samples)),
-                b.python or "-",
-            ]
-            for b in benches
-        ]
-        print()
-        print(aligned_table(
-            "bench runs", ["id", "sequence", "mode", "workloads", "python"],
-            rows,
-        ))
-    else:
-        print("\nno bench snapshots ingested")
     return 0
 
 
@@ -280,27 +248,11 @@ def _cmd_heatmap(store: ResultsStore, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trend(store: ResultsStore, args: argparse.Namespace) -> int:
-    trends = bench_trend(
-        store, workload=args.workload, max_slowdown=args.max_slowdown
-    )
-    print(format_trend(trends))
-    regressed = [t.workload for t in trends if t.regressed]
-    if regressed:
-        print(
-            f"\nREGRESSION in: {', '.join(regressed)} "
-            f"(>{args.max_slowdown:.1f}x per-unit vs best earlier snapshot)",
-            file=sys.stderr,
-        )
-        return EXIT_DIRTY
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
         prog="repro-store",
-        description="Queryable warehouse of campaign results and perf history.",
+        description="Queryable warehouse of campaign results.",
     )
     parser.add_argument(
         "--db", type=Path, default=None, metavar="FILE",
@@ -308,7 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="ingest journals / bench snapshots")
+    p = sub.add_parser(
+        "ingest", help="ingest campaign journals / sharded campaign dirs"
+    )
     p.add_argument("paths", nargs="+", metavar="FILE")
     p.add_argument(
         "--telemetry-dir", type=Path, default=None,
@@ -318,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--label", default=None, help="free-form campaign label")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("list", help="list stored campaigns and bench runs")
+    p = sub.add_parser("list", help="list stored campaigns")
     p.set_defaults(func=_cmd_list)
 
     p = sub.add_parser("show", help="one campaign's stored details")
@@ -353,18 +307,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--max-cols", type=int, default=64,
                    help="maximum cycle buckets (default 64)")
     p.set_defaults(func=_cmd_heatmap)
-
-    p = sub.add_parser(
-        "trend", help="perf trajectory over ingested bench snapshots "
-        "(exit 1 on regression)"
-    )
-    p.add_argument("--workload", default=None)
-    p.add_argument(
-        "--max-slowdown", type=float, default=2.0,
-        help="per-unit slowdown ratio that counts as a regression "
-        "(default 2.0)",
-    )
-    p.set_defaults(func=_cmd_trend)
 
     args = parser.parse_args(argv)
     try:

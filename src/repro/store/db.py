@@ -1,13 +1,12 @@
 """The campaign results warehouse: a normalized SQLite store.
 
 One :class:`ResultsStore` wraps one SQLite database (default:
-``.repro_cache/warehouse.sqlite3``) holding every campaign journal, merged
-worker telemetry, and perf snapshot ever ingested, so questions that span
-runs — "did this refactor flip any injection outcome?", "which flip-flops
-dominate SDC?", "is campaign throughput trending up?" — become queries
-instead of archaeology.
+``.repro_cache/warehouse.sqlite3``) holding every campaign journal and
+merged worker telemetry ever ingested, so questions that span runs — "did
+this refactor flip any injection outcome?", "which flip-flops dominate
+SDC?" — become queries instead of archaeology.
 
-Schema (``SCHEMA_VERSION`` = 4, pinned in the ``meta`` table)::
+Schema (``SCHEMA_VERSION`` = 5, pinned in the ``meta`` table)::
 
     campaigns      one row per ingested journal, keyed like a resume:
                    (netlist_hash, workload, points_hash, seed, defuse,
@@ -28,8 +27,9 @@ Schema (``SCHEMA_VERSION`` = 4, pinned in the ``meta`` table)::
                    for interval followers, ``equivalence_rep``
     worker_stats   per-process utilization (from journal records, enriched
                    with span counts when a telemetry directory is present)
-    bench_runs     one row per ingested ``BENCH_<n>.json`` perf snapshot
-    bench_samples  per-workload timings of one snapshot
+
+Version 5 dropped version 4's perf-snapshot tables. A file of any other
+version is refused on open: move it aside and re-ingest the journals.
 
 ``bit`` is 0 for today's single-bit flip-flop SEUs; journal records from a
 future multi-bit schema carry it as an extra field, which the
@@ -42,15 +42,14 @@ metrics (:mod:`repro.obs`), like every other subsystem.
 from __future__ import annotations
 
 import json
-import re
 import sqlite3
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs import counter, span
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Fields that identify "the same campaign" across ingests (the journal's
 #: resume key, minus the derived counts, plus the collapse/execution flags
@@ -114,29 +113,7 @@ CREATE TABLE IF NOT EXISTS worker_stats (
     spans        INTEGER,
     PRIMARY KEY (campaign_id, pid)
 );
-CREATE TABLE IF NOT EXISTS bench_runs (
-    id             INTEGER PRIMARY KEY,
-    path           TEXT,
-    sequence       INTEGER,
-    schema_version INTEGER NOT NULL,
-    quick          INTEGER NOT NULL DEFAULT 0,
-    rounds         INTEGER,
-    python         TEXT,
-    ingested_at    REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS bench_samples (
-    bench_id         INTEGER NOT NULL
-                     REFERENCES bench_runs(id) ON DELETE CASCADE,
-    workload         TEXT NOT NULL,
-    seconds          REAL NOT NULL,
-    units            INTEGER NOT NULL,
-    units_per_second REAL NOT NULL,
-    PRIMARY KEY (bench_id, workload)
-);
 """
-
-#: ``BENCH_<n>.json`` — the versioned perf-snapshot naming convention.
-BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
 
 
 class StoreError(Exception):
@@ -215,30 +192,6 @@ class OutcomeRow:
     def annotated(self) -> bool:
         """True when the outcome was back-annotated, not injected."""
         return self.pruned_by is not None
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    """One perf snapshot plus its per-workload samples."""
-
-    id: int
-    path: str | None
-    sequence: int | None
-    schema_version: int
-    quick: bool
-    rounds: int | None
-    python: str | None
-    ingested_at: float
-    #: workload -> (seconds, units, units_per_second)
-    samples: dict[str, tuple[float, int, float]] = field(default_factory=dict)
-
-
-def _bench_sequence(path: str | Path | None) -> int | None:
-    """The ``<n>`` of a ``BENCH_<n>.json`` filename, if it follows it."""
-    if path is None:
-        return None
-    match = BENCH_NAME.match(Path(path).name)
-    return int(match.group(1)) if match else None
 
 
 class ResultsStore:
@@ -434,67 +387,6 @@ class ResultsStore:
         return counts
 
     # ------------------------------------------------------------------
-    # Bench ingest
-    # ------------------------------------------------------------------
-    def ingest_bench(
-        self, doc_or_path: dict | str | Path, path: str | Path | None = None
-    ) -> int:
-        """Ingest one perf snapshot (a ``BENCH_<n>.json`` document or path).
-
-        Re-ingesting the same path replaces the previous rows. The
-        ``BENCH_<n>`` sequence number orders the trend series; snapshots
-        with non-conforming names fall back to ingest order.
-        """
-        from repro.eval.bench import validate_bench
-
-        if not isinstance(doc_or_path, dict):
-            path = Path(doc_or_path)
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        else:
-            doc = doc_or_path
-        with span("store/ingest-bench", path=str(path) if path else "-"):
-            try:
-                validate_bench(doc)
-            except ValueError as exc:
-                raise StoreError(str(exc)) from exc
-            if path is not None:
-                self._conn.execute(
-                    "DELETE FROM bench_runs WHERE path = ?", (str(path),)
-                )
-            cursor = self._conn.execute(
-                "INSERT INTO bench_runs (path, sequence, schema_version,"
-                " quick, rounds, python, ingested_at) VALUES (?,?,?,?,?,?,?)",
-                (
-                    str(path) if path is not None else None,
-                    _bench_sequence(path),
-                    doc["schema_version"],
-                    int(bool(doc.get("quick"))),
-                    doc.get("rounds"),
-                    doc.get("python"),
-                    time.time(),
-                ),
-            )
-            bench_id = cursor.lastrowid
-            assert bench_id is not None
-            self._conn.executemany(
-                "INSERT INTO bench_samples (bench_id, workload, seconds,"
-                " units, units_per_second) VALUES (?,?,?,?,?)",
-                [
-                    (
-                        bench_id,
-                        name,
-                        float(entry["seconds"]),
-                        int(entry["units"]),
-                        int(entry["units"]) / float(entry["seconds"]),
-                    )
-                    for name, entry in doc["workloads"].items()
-                ],
-            )
-            self._conn.commit()
-            counter("store.bench.ingested").inc()
-            return bench_id
-
-    # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     _CAMPAIGN_COLUMNS = (
@@ -583,36 +475,6 @@ class ResultsStore:
             " WHERE campaign_id = ? ORDER BY pid",
             (campaign_id,),
         ).fetchall()
-
-    def bench_runs(self) -> list[BenchRow]:
-        """Every perf snapshot with its samples, in trend order.
-
-        Trend order is the ``BENCH_<n>`` sequence when every run has one,
-        else ingest order (id).
-        """
-        rows = self._conn.execute(
-            "SELECT id, path, sequence, schema_version, quick, rounds,"
-            " python, ingested_at FROM bench_runs"
-            " ORDER BY (sequence IS NULL), sequence, id"
-        ).fetchall()
-        out = []
-        for r in rows:
-            samples = {
-                name: (seconds, units, ups)
-                for name, seconds, units, ups in self._conn.execute(
-                    "SELECT workload, seconds, units, units_per_second"
-                    " FROM bench_samples WHERE bench_id = ? ORDER BY workload",
-                    (r[0],),
-                )
-            }
-            out.append(
-                BenchRow(
-                    id=r[0], path=r[1], sequence=r[2], schema_version=r[3],
-                    quick=bool(r[4]), rounds=r[5], python=r[6],
-                    ingested_at=r[7], samples=samples,
-                )
-            )
-        return out
 
     # ------------------------------------------------------------------
     def query(self, sql: str) -> tuple[list[str], list[tuple]]:

@@ -17,7 +17,10 @@ hooks to misbehave on demand:
   transient crash that succeeds on retry;
 - :func:`poison_target` — a checkpointable accumulator whose testbench
   raises under the same trigger: exercises the inline runner's fallback
-  from a failed lane batch to per-point retry and quarantine.
+  from a failed lane batch to per-point retry and quarantine;
+- :func:`plain_accum_target` — the accumulator alone, without the decoy
+  and trip registers, synthesized from RTL and driven by a testbench
+  without snapshots.
 """
 
 from __future__ import annotations
@@ -173,3 +176,22 @@ def poison_target() -> CampaignTarget:
 def netlist_json_roundtrip_target(netlist_json: str) -> CampaignTarget:
     """Target whose simulator is rebuilt from shipped netlist JSON."""
     return _make_target("shipped", AccumBench, netlist_json)
+
+
+def plain_accum_target() -> CampaignTarget:
+    """Accumulator without decoy or trip registers, synthesized from RTL."""
+    c = RtlCircuit("plain-accum")
+    data = c.input("data", 4)
+    acc = c.reg("acc", 8)
+    count = c.reg("count", 4)
+    done = count.eq(8)
+    acc.next = mux(done, (acc + data.zext(8)).trunc(8), acc)
+    count.next = mux(done, (count + 1).trunc(4), count)
+    c.output("acc_out", acc)
+    c.output("done", done)
+    return CampaignTarget(
+        name="plain-accum",
+        simulator=Simulator(synthesize(c)),
+        make_testbench=AccumBench,
+        observables=lambda tb, res: tb.result,
+    )

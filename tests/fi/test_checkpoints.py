@@ -14,11 +14,11 @@ import random
 import pytest
 
 from repro import obs
-from repro.eval.bench import bench_campaign_target
 from repro.fi import Campaign, Outcome
 from repro.fi.targets import named_target
 from repro.sim import ConstantTestbench, Simulator, TableTestbench, Testbench
 from repro.sim.simulator import Checkpoint, CheckpointStore
+from tests.fi.runner_targets import plain_accum_target
 from tests.fi.test_campaign import _AccumBench, _accumulator_netlist
 from tests.sim.test_simulator import _counter_netlist
 
@@ -171,8 +171,8 @@ class TestFallback:
         assert campaign.inject("acc_b0", 2) is Outcome.SDC
         assert campaign.inject("decoy_b3", 2) is Outcome.BENIGN
 
-    def test_eval_bench_target(self):
-        self._assert_runs_from_cycle_zero(bench_campaign_target())
+    def test_synthesized_target_without_snapshots_runs_from_cycle_zero(self):
+        self._assert_runs_from_cycle_zero(plain_accum_target())
 
     def test_never_halting_bench_records_no_checkpoints(self):
         class NeverHalt(Testbench):

@@ -64,26 +64,6 @@ def make_journal(
     return path
 
 
-def make_bench_doc(seconds=0.1, units=10, quick=True, workloads=("search",)):
-    """A minimal valid repro-bench snapshot document."""
-    return {
-        "schema": "repro-bench",
-        "schema_version": 1,
-        "quick": quick,
-        "rounds": 1,
-        "python": "3.11.0",
-        "workloads": {
-            name: {
-                "seconds": seconds,
-                "units": units,
-                "units_per_second": units / seconds,
-                "rounds": [seconds],
-            }
-            for name in workloads
-        },
-    }
-
-
 @pytest.fixture
 def store(tmp_path):
     """A fresh warehouse in the test's tmp dir."""

@@ -2,10 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.store import ResultsStore
 from repro.store.__main__ import main
 
-from tests.store.conftest import RECORDS, make_bench_doc, make_journal
+from tests.store.conftest import RECORDS, make_journal
 
 
 def _db(tmp_path):
@@ -17,27 +19,46 @@ def _run(tmp_path, *args):
 
 
 class TestIngestCli:
-    def test_ingest_autodetects_journal_and_bench(self, tmp_path, capsys):
+    def test_ingest_autodetects_journal(self, tmp_path, capsys):
         journal = make_journal(tmp_path / "c.jsonl")
-        bench = tmp_path / "BENCH_1.json"
-        bench.write_text(json.dumps(make_bench_doc()))
-        assert _run(tmp_path, "ingest", str(journal), str(bench)) == 0
+        assert _run(tmp_path, "ingest", str(journal)) == 0
         out = capsys.readouterr().out
         assert "ingested campaign #1" in out
         assert f"({len(RECORDS)} outcome(s))" in out
-        assert "ingested bench run #1" in out
 
-    def test_ingest_detects_pretty_printed_bench(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_1.json"
-        bench.write_text(json.dumps(make_bench_doc(), indent=2))
-        assert _run(tmp_path, "ingest", str(bench)) == 0
-        assert "ingested bench run" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "name, doc, indent",
+        [
+            ("BENCH_7.json",
+             {"schema": "repro-bench", "schema_version": 1,
+              "workloads": {"search": {"seconds": 0.1, "units": 3}}},
+             2),
+            ("results.json",
+             {"seed": 1, "runs": 1, "seconds": 20,
+              "workloads": {"avr-inline": {"correct": True}}},
+             1),
+            ("results.json", {"seed": 1, "runs": 1, "workloads": {}}, None),
+        ],
+        ids=["bench-snapshot", "bench-run-out", "one-line"],
+    )
+    def test_ingest_rejects_perf_snapshots(
+        self, tmp_path, capsys, name, doc, indent
+    ):
+        snapshot = tmp_path / name
+        snapshot.write_text(json.dumps(doc, indent=indent))
+        assert _run(tmp_path, "ingest", str(snapshot)) == 2
+        assert (
+            "neither a campaign journal nor a sharded campaign directory"
+            in capsys.readouterr().err
+        )
+        with ResultsStore(_db(tmp_path)) as store:
+            assert store.campaigns() == []
 
     def test_unrecognized_file_is_an_error(self, tmp_path, capsys):
         stray = tmp_path / "stray.txt"
         stray.write_text("hello\n")
         assert _run(tmp_path, "ingest", str(stray)) == 2
-        assert "neither a campaign journal nor a bench" in (
+        assert "neither a campaign journal nor a sharded campaign" in (
             capsys.readouterr().err
         )
 
@@ -112,29 +133,6 @@ class TestHeatmapCli:
         assert _run(tmp_path, "heatmap", "1", "--out", str(out)) == 0
         assert out.read_text().startswith("<!DOCTYPE html>")
         assert "heatmap written" in capsys.readouterr().out
-
-
-class TestTrendCli:
-    def _ingest_pair(self, tmp_path, latest_seconds):
-        for sequence, seconds in ((1, 0.1), (2, latest_seconds)):
-            path = tmp_path / f"BENCH_{sequence}.json"
-            path.write_text(json.dumps(make_bench_doc(seconds=seconds)))
-            assert _run(tmp_path, "ingest", str(path)) == 0
-
-    def test_regression_exits_one(self, tmp_path, capsys):
-        self._ingest_pair(tmp_path, latest_seconds=0.5)
-        assert _run(tmp_path, "trend") == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION in: search" in captured.err
-
-    def test_clean_trend_exits_zero(self, tmp_path, capsys):
-        self._ingest_pair(tmp_path, latest_seconds=0.1)
-        assert _run(tmp_path, "trend") == 0
-        assert "— ok" in capsys.readouterr().out
-
-    def test_threshold_flag(self, tmp_path):
-        self._ingest_pair(tmp_path, latest_seconds=0.5)
-        assert _run(tmp_path, "trend", "--max-slowdown", "1000") == 0
 
 
 class TestDbFlag:

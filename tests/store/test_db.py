@@ -9,7 +9,7 @@ from repro import obs
 from repro.store import ResultsStore, StoreError
 from repro.store.db import SCHEMA_VERSION
 
-from tests.store.conftest import RECORDS, make_bench_doc, make_journal
+from tests.store.conftest import RECORDS, make_journal
 
 
 class TestJournalIngest:
@@ -108,46 +108,6 @@ class TestJournalIngest:
             store.campaign(42)
 
 
-class TestBenchIngest:
-    def test_sequence_comes_from_the_filename(self, store, tmp_path):
-        path = tmp_path / "BENCH_7.json"
-        path.write_text(json.dumps(make_bench_doc()))
-        bid = store.ingest_bench(path)
-        (run,) = store.bench_runs()
-        assert run.id == bid
-        assert run.sequence == 7
-        assert run.quick
-        assert run.samples["search"][1] == 10
-        assert obs.counter("store.bench.ingested").value == 1
-
-    def test_nonconforming_name_has_no_sequence(self, store, tmp_path):
-        path = tmp_path / "snapshot.json"
-        path.write_text(json.dumps(make_bench_doc()))
-        store.ingest_bench(path)
-        (run,) = store.bench_runs()
-        assert run.sequence is None
-
-    def test_reingest_same_path_replaces(self, store, tmp_path):
-        path = tmp_path / "BENCH_1.json"
-        path.write_text(json.dumps(make_bench_doc(seconds=0.1)))
-        store.ingest_bench(path)
-        path.write_text(json.dumps(make_bench_doc(seconds=0.2)))
-        store.ingest_bench(path)
-        (run,) = store.bench_runs()
-        assert run.samples["search"][0] == pytest.approx(0.2)
-
-    def test_invalid_snapshot_raises_store_error(self, store):
-        with pytest.raises(StoreError, match="invalid bench snapshot"):
-            store.ingest_bench({"schema": "nope"})
-
-    def test_trend_order_is_sequence_then_ingest(self, store, tmp_path):
-        for name in ("BENCH_3.json", "BENCH_1.json", "unversioned.json"):
-            path = tmp_path / name
-            path.write_text(json.dumps(make_bench_doc()))
-            store.ingest_bench(path)
-        assert [r.sequence for r in store.bench_runs()] == [1, 3, None]
-
-
 class TestStoreLifecycle:
     def test_schema_version_pin(self, store):
         names, rows = store.query(
@@ -156,15 +116,22 @@ class TestStoreLifecycle:
         assert rows == [(str(SCHEMA_VERSION),)]
 
     def test_schema_version_mismatch_refuses_to_open(self, tmp_path):
-        db = tmp_path / "old.sqlite3"
-        with ResultsStore(db):
-            pass
-        conn = sqlite3.connect(db)
-        conn.execute("UPDATE meta SET value = '999' WHERE key = 'schema_version'")
-        conn.commit()
-        conn.close()
-        with pytest.raises(StoreError, match="schema version 999"):
-            ResultsStore(db)
+        # "4" is the last version that still held the perf-snapshot tables.
+        for version in ("999", "4"):
+            db = tmp_path / f"v{version}.sqlite3"
+            with ResultsStore(db):
+                pass
+            conn = sqlite3.connect(db)
+            conn.execute(
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                (version,),
+            )
+            conn.commit()
+            conn.close()
+            with pytest.raises(
+                StoreError, match=f"schema version {version},.*move the file"
+            ):
+                ResultsStore(db)
 
     def test_query_is_read_only(self, store, tmp_path):
         store.ingest_journal(make_journal(tmp_path / "c.jsonl"))
