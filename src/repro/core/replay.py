@@ -2,8 +2,10 @@
 
 For every cycle of a trace we compute which MATEs trigger; a triggered MATE
 marks the (fault wire, cycle) points of all its covered fault wires as
-benign. Trigger vectors are kept bit-packed so that whole campaigns stay in
-a few tens of megabytes.
+benign. A MATE's trigger vector is the AND of its literals' cycle vectors
+(complemented for a 0 literal), so all cycles are evaluated at once.
+Trigger vectors are kept bit-packed so that whole campaigns stay in a few
+tens of megabytes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from repro.trace.trace import Trace
 
 #: Byte population-count lookup table.
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
+
+#: Byte bit-reversal table: little-endian cycle-vector bytes to the
+#: big-endian bit order of :attr:`ReplayResult.triggered_packed`.
+_REVERSED = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
 
 
 def _popcount(packed: np.ndarray) -> int:
@@ -125,6 +131,16 @@ class ReplayResult:
         )
 
 
+def trigger_vector(mate: Mate, trace: Trace) -> int:
+    """Cycle vector of the cycles in which ``mate``'s conjunction holds."""
+    mask = (1 << trace.num_cycles) - 1
+    triggered = mask
+    for wire, value in mate.literals:
+        vector = trace.vector(wire)
+        triggered &= vector if value else vector ^ mask
+    return triggered
+
+
 def replay_mates(
     mates: Sequence[Mate],
     trace: Trace,
@@ -143,17 +159,10 @@ def replay_mates(
 
     with span("replay", mates=len(mates), cycles=num_cycles):
         for index, mate in enumerate(mates):
-            if not mate.literals:
-                triggered = np.ones(num_cycles, dtype=bool)
-            else:
-                wires = [wire for wire, _ in mate.literals]
-                values = np.array([value for _, value in mate.literals], dtype=np.uint8)
-                columns = trace.columns(wires)
-                triggered = (columns == values).all(axis=1)
-            trigger_counts[index] = int(triggered.sum())
-            triggered_packed[index] = np.packbits(
-                triggered.astype(np.uint8), bitorder="big"
-            )
+            triggered = trigger_vector(mate, trace)
+            trigger_counts[index] = triggered.bit_count()
+            little = triggered.to_bytes(packed_len, "little")
+            triggered_packed[index] = _REVERSED[np.frombuffer(little, np.uint8)]
         counter("replay.mates.evaluated").inc(len(mates))
         counter("replay.cycles.replayed").inc(num_cycles)
         counter("replay.mate.triggers").inc(int(trigger_counts.sum()))

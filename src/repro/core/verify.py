@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.mate import Mate
+from repro.core.replay import trigger_vector
 from repro.sim.compiler import CompiledNetlist
 from repro.trace.trace import Trace
 
@@ -49,6 +50,12 @@ def state_and_inputs_at(
     return state, inputs
 
 
+def _set_bits(vector: int) -> list[int]:
+    """Positions of the set bits of ``vector``, ascending."""
+    bits = f"{vector:b}"[::-1]
+    return [position for position, bit in enumerate(bits) if bit == "1"]
+
+
 def verify_mate_on_trace(
     compiled: CompiledNetlist,
     trace: Trace,
@@ -65,11 +72,12 @@ def verify_mate_on_trace(
     """
     dff_by_q = {dff.q: dff.name for dff in compiled.dffs}
     violations: list[tuple[str, int]] = []
-    cycle_range = range(trace.num_cycles) if cycles is None else cycles
+    triggered = trigger_vector(mate, trace)
+    if cycles is None:
+        cycle_range = _set_bits(triggered)
+    else:
+        cycle_range = [c for c in cycles if (triggered >> c) & 1]
     for cycle in cycle_range:
-        values = trace.cycle_values(cycle)
-        if not mate.holds(values):
-            continue
         state, inputs = state_and_inputs_at(compiled, trace, cycle)
         for fault_wire in sorted(mate.fault_wires):
             dff_name = dff_by_q.get(fault_wire)

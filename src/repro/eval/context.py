@@ -130,7 +130,7 @@ def get_trace(core: str, program: str, cycles: int = TRACE_CYCLES) -> Trace:
         try:
             data = np.load(path, allow_pickle=False)
             wires = [str(w) for w in data["wires"]]
-            trace = Trace(wires, data["matrix"])
+            trace = Trace.from_matrix(wires, data["matrix"])
         except Exception as exc:  # truncated zip, missing keys, bad dtype
             _discard_corrupt(path, "trace", exc)
         else:
@@ -146,7 +146,7 @@ def get_trace(core: str, program: str, cycles: int = TRACE_CYCLES) -> Trace:
         lambda fh: np.savez_compressed(
             fh,
             wires=np.array(result.trace.wire_names),
-            matrix=result.trace.matrix,
+            matrix=result.trace.columns(result.trace.wire_names),
         ),
     )
     return result.trace

@@ -50,9 +50,10 @@ def simulate_online_pruning(
 ) -> OnlinePruningRun:
     """Emulate ``cycles`` of the workload with in-circuit MATE evaluation.
 
-    The per-cycle evaluation consumes each wire row as it is produced — no
-    trace is stored, mirroring a real HAFI platform where MATE outputs feed
-    the fault-list filter directly.
+    The per-cycle evaluation consumes each wire row of the bit-level step
+    as it is produced — no trace is stored, mirroring a real HAFI platform
+    where MATE outputs feed the fault-list filter directly. Exactly
+    ``cycles`` cycles run; a testbench halt does not stop the emulation.
     """
     simulator = simulator or Simulator(netlist)
     compiled = simulator.compiled
@@ -81,22 +82,20 @@ def simulate_online_pruning(
     trigger_counts = [0] * len(mates)
 
     state = compiled.initial_state()
-    step = compiled.word_step
-    row_sink: list[tuple[int, ...]] = []  # holds one row at a time
+    step = compiled.step
 
     with span(
         "hafi/online-pruning", netlist=netlist.name, cycles=cycles, mates=len(mates)
     ) as run_span:
         for cycle in range(cycles):
             in_words = testbench.drive(cycle, simulator.view(state))
-            state, out_words = step(state, in_words, row_sink)
-            row = row_sink.pop()
+            state, outputs, row = step(state, simulator.pack_inputs(in_words))
             for index, checks in enumerate(mate_checks):
                 if all(row[col] == val for col, val in checks):
                     trigger_counts[index] += 1
                     for dff_name in mate_targets[index]:
                         space.mark_benign(dff_name, cycle)
-            testbench.observe(cycle, out_words)
+            testbench.observe(cycle, simulator.unpack_outputs(outputs))
 
     counter("hafi.cycles.emulated").inc(cycles)
     counter("hafi.mate.evaluations").inc(cycles * len(mates))

@@ -22,8 +22,9 @@ reasoning over the fault cone alone:
 - **Stage 2 — exhaustive border enumeration.** If difference-carrying
   endpoints remain, back-slice their cone support, assign every free
   border/fault wire a bit-parallel truth-table column (one big integer with
-  ``2**k`` rows), evaluate golden and faulty columns through the slice, and
-  OR the endpoint XORs. A nonzero row is a **concrete counterexample**
+  ``2**k`` rows), evaluate golden and faulty columns through the slice
+  with :func:`~repro.cells.expressions.lane_function`, and OR
+  the endpoint XORs. A nonzero row is a **concrete counterexample**
   assignment; zero rows prove soundness exhaustively. The stage is capped
   by ``mate_budget_bits`` free wires and reports *skipped* beyond it.
 - **Stage 2' — SAT decision (``engine="sat"``).** The same slice is
@@ -47,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from repro.cells.functions import BoolFunc
+from repro.cells.expressions import lane_function
 from repro.core.cone import FaultCone, compute_fault_cone
 from repro.core.implication import ImplicationEngine
 from repro.core.mate import Mate
@@ -108,29 +109,6 @@ class StaticMateVerdict:
         if self.status == VACUOUS:
             return "vacuously sound: the masking term is unsatisfiable"
         return f"sound ({self.method}, {self.assignments} assignments checked)"
-
-
-def _eval_columns(
-    function: BoolFunc, inputs: dict[str, int], mask: int
-) -> int:
-    """Evaluate a cell function over bit-parallel value columns.
-
-    Each input pin maps to an integer whose bit ``r`` is the pin's value in
-    enumeration row ``r``; the result follows the same convention.
-    """
-    result = 0
-    num_pins = len(function.pins)
-    for row in range(1 << num_pins):
-        if not (function.table >> row) & 1:
-            continue
-        term = mask
-        for j, pin in enumerate(function.pins):
-            column = inputs[pin]
-            term &= column if (row >> j) & 1 else ~column & mask
-            if not term:
-                break
-        result |= term
-    return result
 
 
 #: A back-slice of the fault cone: the gates feeding the live endpoints
@@ -376,17 +354,13 @@ class StaticMateChecker:
             faulty[wire] = golden[wire] ^ mask  # the SEU flips the fault site
 
         for gate in slice_gates:
-            function = netlist.library[gate.cell].function
-            assert function is not None
-            golden[gate.output] = _eval_columns(
-                function,
-                {pin: golden[wire] for pin, wire in gate.inputs.items()},
-                mask,
+            cell = netlist.library[gate.cell]
+            function, pins = lane_function(cell), cell.inputs
+            golden[gate.output] = function(
+                mask, *[golden[gate.inputs[pin]] for pin in pins]
             )
-            faulty[gate.output] = _eval_columns(
-                function,
-                {pin: faulty[wire] for pin, wire in gate.inputs.items()},
-                mask,
+            faulty[gate.output] = function(
+                mask, *[faulty[gate.inputs[pin]] for pin in pins]
             )
 
         # Rows where the golden-only literals (cone-wire literals) hold.

@@ -21,8 +21,8 @@ is one *cycle vector*: a Python int whose bit ``c`` is the wire's value in
 cycle ``c``. The faulty Q vector is the golden one with every bit flipped;
 each gate the difference reaches is evaluated once with bitwise ops, by the
 same per-cell lane functions the bit-parallel simulator step is generated
-from (:func:`repro.sim.compiler.lane_function`). Gates are visited from the
-fault wire through the reader map in topological order, and only while the
+from (:func:`repro.cells.expressions.lane_function`). Gates are visited
+from the fault wire through the reader map in topological order, and only while the
 difference survives: a gate whose output equals golden in every cycle
 stops the walk, which is exact because its readers then see golden inputs.
 """
@@ -34,21 +34,14 @@ from heapq import heappop, heappush
 
 import numpy as np
 
+from repro.cells.expressions import lane_function
 from repro.netlist.netlist import Netlist
-from repro.sim.compiler import lane_function
 from repro.trace.trace import Trace
 
 #: Event codes (one character per cycle).
 EVENT_ESCAPE = "e"
 EVENT_HOLD = "h"
 EVENT_KILL = "k"
-
-
-def _cycle_vectors(trace: Trace) -> list[int]:
-    """Every trace column as an int, in column order: bit ``c`` is the
-    wire's value in cycle ``c``."""
-    packed = np.packbits(trace.matrix, axis=0, bitorder="little")
-    return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
 
 
 def _cycle_bits(vector: int, num_cycles: int) -> np.ndarray:
@@ -64,8 +57,8 @@ class EventClassifier:
     recorded); ``reads`` the per-cycle DFF-name sets the testbench read
     during that same run (see ``Simulator.run(record_reads=True)``) — when
     omitted, testbench reads are not treated as uses, which is only sound
-    for testbenches that never read state. The trace is converted to cycle
-    vectors once; :meth:`events` then costs one walk per flip-flop.
+    for testbenches that never read state. :meth:`events` costs one walk
+    per flip-flop over the trace's cycle vectors.
     """
 
     def __init__(
@@ -82,7 +75,7 @@ class EventClassifier:
         self.netlist = netlist
         self.num_cycles = num_cycles
         self.mask = (1 << num_cycles) - 1
-        self._golden = _cycle_vectors(trace)
+        self._golden = [trace.vector(wire) for wire in trace.wire_names]
         self._column = column = trace.column_index
 
         cells = {}

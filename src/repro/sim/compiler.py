@@ -8,105 +8,53 @@ generation), which evaluates a full cycle in a single call.
 
 Three entry points share the generated gate code:
 
-- :attr:`CompiledNetlist.word_step` ``(state, in_words, rows) ->
-  (next_state, out_words)`` is word-level: it unpacks the input words,
-  packs the output words, and appends the complete wire-value row to
-  ``rows`` only when ``rows`` is a list. It is compiled eagerly and is the
-  only function :class:`repro.sim.Simulator` calls, so a process that just
-  simulates compiles exactly one function.
+- :attr:`CompiledNetlist.word_step` ``(state, in_words) -> (next_state,
+  out_words)`` is word-level: it unpacks the input words and packs the
+  output words. It is compiled eagerly and is the only function
+  :class:`repro.sim.Simulator` calls, so a process that just simulates
+  compiles exactly one function.
 - :attr:`CompiledNetlist.step` ``(state, inputs) -> (next_state, outputs,
   row)`` is bit-level, for netlist-level callers that feed recorded input
-  bits (``core.verify``, ``core.multicycle``). It is compiled lazily, on
-  first access.
+  bits (``core.verify``, ``core.multicycle``, ``hafi.online``); its row of
+  every traced wire is the independent scalar reference for recorded
+  traces. It is compiled lazily, on first access.
 - :attr:`CompiledNetlist.lane_step` ``(state, in_words, mask) ->
   (next_state, out_words, diverged)`` is bit-parallel: each state value is
   a vector of lanes (one fault-injected run per bit), for
   :meth:`repro.sim.Simulator.run_lanes`. It is compiled lazily, on first
   access.
 
-:func:`lane_function` renders one cell of the lane step's gate table as a
-callable ``f(mask, *pins)``, for the def-use analysis's cycle vectors
-(:mod:`repro.prune.access`).
+The gate code comes from the cell expression table of
+:mod:`repro.cells.expressions`. Its :func:`~repro.cells.expressions.lane_function`
+renders one cell as ``f(mask, *pins)`` over bit-parallel vectors;
+:meth:`CompiledNetlist.derive_vectors` derives a recorded trace's gate
+outputs with it.
 """
 
 from __future__ import annotations
 
-import re
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property
 
-from repro.cells.library import Cell
+from repro.cells.expressions import (
+    LANE_TEMPLATES,
+    MASK,
+    TEMPLATES,
+    cell_expression,
+    lane_function,
+)
 from repro.netlist.netlist import CONST0, CONST1, Gate, Netlist
 from repro.netlist.validate import validate_netlist
 from repro.obs import counter, span
 from repro.synth.lower import bit_name
 
-#: Per-cell Python expression templates (pin name → local variable). ``{one}``
-#: is the constant one: ``1`` in the scalar steps, the lane mask in
-#: :attr:`CompiledNetlist.lane_step`.
-_TEMPLATES = {
-    "INV": "{one} ^ {A}",
-    "BUF": "{A}",
-    "AND2": "{A} & {B}",
-    "AND3": "{A} & {B} & {C}",
-    "AND4": "{A} & {B} & {C} & {D}",
-    "NAND2": "{one} ^ ({A} & {B})",
-    "NAND3": "{one} ^ ({A} & {B} & {C})",
-    "NAND4": "{one} ^ ({A} & {B} & {C} & {D})",
-    "OR2": "{A} | {B}",
-    "OR3": "{A} | {B} | {C}",
-    "OR4": "{A} | {B} | {C} | {D}",
-    "NOR2": "{one} ^ ({A} | {B})",
-    "NOR3": "{one} ^ ({A} | {B} | {C})",
-    "NOR4": "{one} ^ ({A} | {B} | {C} | {D})",
-    "XOR2": "{A} ^ {B}",
-    "XNOR2": "{one} ^ {A} ^ {B}",
-    "MUX2": "({B} if {S} else {A})",
-    "AOI21": "{one} ^ (({A1} & {A2}) | {B})",
-    "AOI22": "{one} ^ (({A1} & {A2}) | ({B1} & {B2}))",
-    "OAI21": "{one} ^ (({A1} | {A2}) & {B})",
-    "OAI22": "{one} ^ (({A1} | {A2}) & ({B1} | {B2}))",
-    "XOR3": "{A} ^ {B} ^ {C}",
-    "MAJ3": "({A} & {B}) | ({A} & {C}) | ({B} & {C})",
-}
-
-#: The lane step's templates. ``B if S else A`` tests a whole lane vector,
-#: so ``MUX2`` selects bitwise; the scalar steps keep the conditional,
-#: which is faster on single bits.
-_LANE_TEMPLATES = {**_TEMPLATES, "MUX2": "{A} ^ ({S} & ({A} ^ {B}))"}
-
-#: The lane step's name for its lane-mask argument (all lanes set).
-_MASK = "m"
+#: ``bytes.translate`` table turning 0/1 bytes into ASCII ``0``/``1``.
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _cell_expression(
-    cell: Cell, env: dict[str, str], templates: dict, one: str
-) -> str:
-    """``cell``'s output as an expression over ``env`` (pin -> expression),
-    with the constant one rendered as ``one``."""
-    template = templates.get(cell.name)
-    if template is not None:
-        return template.format(one=one, **env)
-    # Fallback for cells without a hand-written template: tabulated SOP,
-    # whose pins and constant one are renamed token by token.
-    assert cell.function is not None
-    env = {**env, "1": one}
-    return re.sub(
-        r"\w+", lambda m: env.get(m.group(), m.group()),
-        cell.function.python_expression(),
-    )
-
-
-def lane_function(cell: Cell) -> Callable[..., int]:
-    """``cell`` as ``f(mask, *pins) -> int`` over lane vectors.
-
-    Pins are passed in ``cell.inputs`` order; every bit of ``mask`` is one
-    lane, evaluated independently. Rendered from the same gate table as
-    :attr:`CompiledNetlist.lane_step`, so both share one gate semantics.
-    """
-    env = {pin: f"p{index}" for index, pin in enumerate(cell.inputs)}
-    expression = _cell_expression(cell, env, _LANE_TEMPLATES, _MASK)
-    return eval(f"lambda {', '.join((_MASK, *env.values()))}: {expression}")
+def _bits_vector(bits: bytes) -> int:
+    """The int whose bit ``c`` is ``bits[c]`` (each byte 0 or 1)."""
+    return int(bits.translate(_ASCII_BITS)[::-1], 2) if bits else 0
 
 
 class CompiledNetlist:
@@ -177,9 +125,9 @@ class CompiledNetlist:
 
     def _gate_expression(self, gate: Gate, templates: dict, one: str) -> str:
         env = {pin: self._ref(wire, one) for pin, wire in gate.inputs.items()}
-        return _cell_expression(self.netlist.library[gate.cell], env, templates, one)
+        return cell_expression(self.netlist.library[gate.cell], env, templates, one)
 
-    def _body(self, templates: dict = _TEMPLATES, one: str = "1") -> list[str]:
+    def _body(self, templates: dict = TEMPLATES, one: str = "1") -> list[str]:
         """State unpacking plus one line per gate, in topological order."""
         lines = []
         if self.dffs:
@@ -237,11 +185,9 @@ class CompiledNetlist:
         return f"{{{words}}}"
 
     def _compile_word_step(self):
-        lines = ["def step(state, in_words, rows):"]
+        lines = ["def step(state, in_words):"]
         lines.extend(self._unpack_inputs(lambda word: f"({word}) & 1"))
         lines.extend(self._body())
-        lines.append("    if rows is not None:")
-        lines.append(f"        rows.append({self._row()})")
         out_words = self._packed_outputs(lambda value: value)
         lines.append(f"    return {self._next_state()}, {out_words}")
         return self._exec(lines)
@@ -270,15 +216,48 @@ class CompiledNetlist:
         bits differ from lane 0's. Compiled on first access from the same
         gate code as :attr:`word_step`.
         """
-        lines = [f"def step(state, in_words, {_MASK}):"]
-        lines.extend(self._unpack_inputs(lambda word: f"{_MASK} if {word} & 1 else 0"))
-        lines.extend(self._body(_LANE_TEMPLATES, _MASK))
+        lines = [f"def step(state, in_words, {MASK}):"]
+        lines.extend(self._unpack_inputs(lambda word: f"{MASK} if {word} & 1 else 0"))
+        lines.extend(self._body(LANE_TEMPLATES, MASK))
         outputs = {self._var(wire) for wire in self.output_wires} - {"0", "1"}
         diverged = " | ".join(f"({var} ^ -({var} & 1))" for var in sorted(outputs))
-        lines.append(f"    diverged = ({diverged or '0'}) & {_MASK}")
-        out_words = self._packed_outputs(lambda value: f"({value} & 1)", _MASK)
-        lines.append(f"    return {self._next_state(_MASK)}, {out_words}, diverged")
+        lines.append(f"    diverged = ({diverged or '0'}) & {MASK}")
+        out_words = self._packed_outputs(lambda value: f"({value} & 1)", MASK)
+        lines.append(f"    return {self._next_state(MASK)}, {out_words}, diverged")
         return self._exec(lines)
+
+    def derive_vectors(
+        self, states: Sequence[bytes], in_words: Sequence[Mapping[str, int]]
+    ) -> list[int]:
+        """Cycle vectors of every traced wire, in :attr:`trace_wires` order.
+
+        ``states[c]`` is the flip-flop state cycle ``c`` evaluated (one byte
+        per flip-flop, as in a checkpoint) and ``in_words[c]`` its input
+        words. The flip-flop and input columns are transposed into cycle
+        vectors, then every gate is evaluated once over all cycles in
+        topological order with :func:`lane_function`, the gate table of
+        :attr:`lane_step`.
+        """
+        mask = (1 << len(states)) - 1
+        values: dict[str, int] = {CONST0: 0, CONST1: mask}
+        flat, width = b"".join(states), len(self.dffs)
+        for index, dff in enumerate(self.dffs):
+            values[dff.q] = _bits_vector(flat[index::width])
+        for wire in self.input_wires:
+            values[wire] = 0  # not part of any input word
+        columns: dict[str, list[int]] = {}
+        for position, word, bit in self.input_order:
+            column = columns.get(word)
+            if column is None:
+                column = columns[word] = [words.get(word, 0) for words in in_words]
+            bits = bytes([(value >> bit) & 1 for value in column])
+            values[self.input_wires[position]] = _bits_vector(bits)
+        library = self.netlist.library
+        for gate in self._topo:
+            cell = library[gate.cell]
+            pins = [values[gate.inputs[pin]] for pin in cell.inputs]
+            values[gate.output] = lane_function(cell)(mask, *pins)
+        return [values[wire] for wire in self.trace_wires]
 
     # ------------------------------------------------------------------
     def initial_state(self) -> list[int]:

@@ -6,8 +6,9 @@ The per-cycle contract (matching the paper's synchronous-circuit model):
    register state (external memories are addressed by registers);
 2. optional SEU injection flips flip-flop Q bits *before* evaluation — the
    flipped value is what the combinational logic sees this cycle;
-3. the compiled word-level step evaluates the combinational logic once; the
-   wire values are recorded as a trace row only when tracing;
+3. the compiled word-level step evaluates the combinational logic once;
+   when tracing, the cycle's flip-flop state and input words are kept, and
+   every other wire is derived from them once at the end of the run;
 4. the testbench observes the output words (memory writes commit, halt is
    detected);
 5. the D values become the next state.
@@ -352,8 +353,10 @@ class Simulator:
             first, state = start.cycle, list(start.state)
             testbench.restore(start.testbench)
         step = self.compiled.word_step
-        rows: list[tuple[int, ...]] | None = [] if record_trace else None
+        states: list[bytes] | None = [] if record_trace else None
+        inputs: list[dict[str, int]] | None = [] if record_trace else None
         reads: list[frozenset[str]] | None = [] if record_reads else None
+        recording = record_trace or record_reads
         due = 0 if checkpoints is not None else -1
         halted = False
         out_words: dict[str, int] = {}
@@ -374,13 +377,18 @@ class Simulator:
                         index = self.dff_index[dff_name]
                         state[index] ^= 1
                 view._state = state
-                if reads is None:
+                if not recording:
                     in_words = testbench.drive(cycle, view)
                 else:
-                    sink = view._sink = set()
+                    if reads is not None:
+                        sink = view._sink = set()
                     in_words = testbench.drive(cycle, view)
-                    reads.append(frozenset(sink))
-                state, out_words = step(state, in_words, rows)
+                    if reads is not None:
+                        reads.append(frozenset(sink))
+                    if states is not None:
+                        states.append(bytes(state))
+                        inputs.append(dict(in_words))  # drive() may reuse it
+                state, out_words = step(state, in_words)
                 if testbench.observe(cycle, out_words):
                     halted = True
                     cycle += 1
@@ -395,16 +403,11 @@ class Simulator:
             counter("sim.runs.injected").inc()
 
         trace = None
-        if rows is not None:
-            # Imported here: only tracing runs need numpy, injection never.
-            import numpy as np
-
+        if states is not None:
             from repro.trace.trace import Trace
 
-            matrix = np.array(rows, dtype=np.uint8) if rows else np.zeros(
-                (0, len(self.compiled.trace_wires)), dtype=np.uint8
-            )
-            trace = Trace(self.compiled.trace_wires, matrix)
+            vectors = self.compiled.derive_vectors(states, inputs)
+            trace = Trace(self.compiled.trace_wires, vectors, len(states))
         return SimulationResult(trace, cycle, halted, state, out_words, reads=reads)
 
     def run_lanes(

@@ -60,11 +60,16 @@ CAMPAIGN_KEY = (
     "distributed",
 )
 
-_SCHEMA = """
+#: Created and read before anything else, so that a file pinned to
+#: another schema version is refused before any other DDL touches it.
+_META_SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
-);
+)
+"""
+
+_SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
     id            INTEGER PRIMARY KEY,
     workload      TEXT NOT NULL,
@@ -203,23 +208,24 @@ class ResultsStore:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(self.path)
         self._conn.execute("PRAGMA foreign_keys = ON")
-        self._conn.executescript(_SCHEMA)
+        self._conn.execute(_META_SCHEMA)
         row = self._conn.execute(
             "SELECT value FROM meta WHERE key = 'schema_version'"
         ).fetchone()
-        if row is None:
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
-            )
-            self._conn.commit()
-        elif int(row[0]) != SCHEMA_VERSION:
+        if row is not None and int(row[0]) != SCHEMA_VERSION:
             self._conn.close()
             raise StoreError(
                 f"warehouse {self.path} has schema version {row[0]}, "
                 f"this build speaks {SCHEMA_VERSION} — move the file aside "
                 "and re-ingest the journals"
             )
+        self._conn.executescript(_SCHEMA)
+        if row is None:
+            self._conn.execute(
+                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
+                (str(SCHEMA_VERSION),),
+            )
+            self._conn.commit()
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -1,6 +1,13 @@
-"""Per-cycle wire-value traces and VCD interchange."""
+"""Per-cycle wire-value traces and VCD interchange.
 
-from repro.trace.trace import Trace
-from repro.trace.vcd import parse_vcd, write_vcd
+Names resolve lazily, so reading a recorded :class:`Trace` does not import
+numpy, which only the VCD reader and writer and the array accessors use.
+"""
+
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"trace": ("Trace",), "vcd": ("parse_vcd", "write_vcd")}
+)
 
 __all__ = ["Trace", "parse_vcd", "write_vcd"]

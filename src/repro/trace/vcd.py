@@ -3,7 +3,7 @@
 The paper records VCD files from netlist simulation and feeds them to the
 MATE selection. We reproduce that interchange: :func:`write_vcd` emits one
 timestamp per clock cycle with change-only dumps, :func:`parse_vcd` samples
-a VCD back into a dense :class:`~repro.trace.trace.Trace`.
+a VCD back into a :class:`~repro.trace.trace.Trace`.
 
 Only the subset our own writer produces (plus whitespace variations) is
 supported: scalar wires, one scope level, ``0``/``1`` values.
@@ -44,7 +44,7 @@ def write_vcd(trace: Trace, module: str = "top", timescale: str = "1ns") -> str:
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
 
-    matrix = trace.matrix
+    matrix = trace.columns(trace.wire_names)
     previous: np.ndarray | None = None
     for cycle in range(trace.num_cycles):
         row = matrix[cycle]
@@ -65,7 +65,7 @@ def write_vcd(trace: Trace, module: str = "top", timescale: str = "1ns") -> str:
 
 
 def parse_vcd(text: str) -> Trace:
-    """Parse VCD text into a dense trace (one sample per timestamp)."""
+    """Parse VCD text into a trace (one sample per timestamp)."""
     wires: list[str] = []
     code_to_index: dict[str, int] = {}
     lines = iter(text.splitlines())
@@ -123,4 +123,4 @@ def parse_vcd(text: str) -> Trace:
         missing = [wires[i] for i in np.nonzero(~initialized)[0][:5]]
         raise ValueError(f"wires never dumped: {missing}")
     matrix = np.vstack(rows) if rows else np.zeros((0, len(wires)), dtype=np.uint8)
-    return Trace(wires, matrix)
+    return Trace.from_matrix(wires, matrix)

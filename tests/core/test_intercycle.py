@@ -35,7 +35,9 @@ class TestSyntheticModel:
 
     def _trace(self, rows):
         # columns: r0, r1, i0, i1
-        return Trace(["r0", "r1", "i0", "i1"], np.array(rows, dtype=np.uint8))
+        return Trace.from_matrix(
+            ["r0", "r1", "i0", "i1"], np.array(rows, dtype=np.uint8)
+        )
 
     def test_reads_decoded(self, model):
         trace = self._trace([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]])
@@ -74,7 +76,7 @@ class TestSyntheticModel:
             valid_wire="flush",
             valid_active_low=True,
         )
-        trace = Trace(
+        trace = Trace.from_matrix(
             ["r0", "i0", "flush"],
             np.array([[0, 1, 1], [0, 1, 0]], dtype=np.uint8),
         )

@@ -27,7 +27,7 @@ def trace():
         ],
         dtype=np.uint8,
     )
-    return Trace(["s0", "s1", "f1", "f2"], matrix)
+    return Trace.from_matrix(["s0", "s1", "f1", "f2"], matrix)
 
 
 @pytest.fixture()

@@ -4,8 +4,9 @@
 the simulator, the campaign engine, the cores and the light part of
 ``repro.obs``. numpy, the MATE search, the static MATE checker, the web
 console (asyncio) and the process-pool machinery are loaded on first use
-only. Each check runs in a fresh interpreter, because this test process
-has long since imported everything.
+only. Recording a golden trace and reading its cycle vectors needs no
+numpy either. Each check runs in a fresh interpreter, because this test
+process has long since imported everything.
 """
 
 import json
@@ -105,3 +106,17 @@ def test_public_names_resolve_lazily(tmp_path):
     """
     loaded = _loaded_after(body, ("repro.core.search", "repro.obs.http"), tmp_path)
     assert loaded == ["repro.core.search", "repro.obs.http"]
+
+
+def test_recording_a_trace_needs_no_numpy(tmp_path):
+    body = """
+        from repro.fi.targets import named_target
+        from repro.netlist.netlist import CONST1
+
+        target = named_target("avr-fib")
+        result = target.simulator.run(target.make_testbench(), max_cycles=200)
+        trace = result.trace
+        assert trace.vector(CONST1) == (1 << result.cycles) - 1
+        assert trace.value(0, CONST1) == 1
+    """
+    assert _loaded_after(body, ("numpy",), tmp_path) == []

@@ -66,7 +66,7 @@ def _random_trace(compiled, cycles, rng):
         inputs = [rng.getrandbits(1) for _ in compiled.input_wires]
         state, _, row = compiled.step(state, inputs)
         rows.append(row)
-    return Trace(compiled.trace_wires, np.array(rows, dtype=np.uint8))
+    return Trace.from_matrix(compiled.trace_wires, np.array(rows, dtype=np.uint8))
 
 
 class Case:
@@ -83,9 +83,8 @@ class Case:
     def reference(self, dff_name: str, cycle: int) -> str:
         """The scalar-step event of one point."""
         compiled, trace = self.compiled, self.trace
-        row = trace.matrix[cycle]
-        state = [int(row[trace.column_index(d.q)]) for d in compiled.dffs]
-        inputs = [int(row[trace.column_index(w)]) for w in compiled.input_wires]
+        state = [trace.value(cycle, d.q) for d in compiled.dffs]
+        inputs = [trace.value(cycle, w) for w in compiled.input_wires]
         if cycle not in self._golden:
             self._golden[cycle] = compiled.step(state, inputs)[:2]
         golden_next, golden_out = self._golden[cycle]

@@ -3,7 +3,7 @@
 from repro.cells import BoolFunc, Cell, Library
 from repro.netlist import Netlist
 from repro.sim import CompiledNetlist
-from repro.sim.compiler import _TEMPLATES
+from repro.cells.expressions import TEMPLATES
 
 
 def sop_fallback_library():
@@ -37,7 +37,7 @@ class TestSopFallback:
     """Cells without a hand-written template simulate via tabulated SOP."""
 
     def test_custom_cell_not_in_templates(self):
-        assert "ONEHOT3" not in _TEMPLATES
+        assert "ONEHOT3" not in TEMPLATES
 
     def test_fallback_matches_truth_table(self):
         compiled = CompiledNetlist(sop_fallback_netlist())

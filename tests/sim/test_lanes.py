@@ -20,7 +20,7 @@ from repro.cells.nangate15 import nangate15_library
 from repro.eval.example_circuit import figure1_netlist
 from repro.netlist import Netlist
 from repro.sim import CompiledNetlist, Simulator
-from repro.sim.compiler import _LANE_TEMPLATES, _TEMPLATES, lane_function
+from repro.cells.expressions import LANE_TEMPLATES, TEMPLATES, lane_function
 from repro.sim.simulator import LaneStateView
 from tests.sim.test_compiler_fallback import (
     sop_fallback_library,
@@ -69,14 +69,14 @@ def _lane_states(rng, bits):
     return lanes
 
 
-@pytest.mark.parametrize("cell", sorted(_TEMPLATES))
+@pytest.mark.parametrize("cell", sorted(TEMPLATES))
 def test_lane_template_matches_scalar_in_every_lane(cell):
     rng = random.Random(2018)
     mask = (1 << WIDTH) - 1
-    pins = sorted(set(re.findall(r"{(\w+)}", _TEMPLATES[cell])) - {"one"})
+    pins = sorted(set(re.findall(r"{(\w+)}", TEMPLATES[cell])) - {"one"})
     names = {pin: pin for pin in pins}
-    scalar = _TEMPLATES[cell].format(one="1", **names)
-    lane = _LANE_TEMPLATES[cell].format(one="m", **names)
+    scalar = TEMPLATES[cell].format(one="1", **names)
+    lane = LANE_TEMPLATES[cell].format(one="m", **names)
     for _ in range(50):
         words = {pin: rng.getrandbits(WIDTH) for pin in pins}
         got = eval(lane, {"m": mask, **words})
@@ -87,8 +87,8 @@ def test_lane_template_matches_scalar_in_every_lane(cell):
 
 
 def test_mux2_is_bitwise_only_in_the_lane_step():
-    assert "if" in _TEMPLATES["MUX2"]
-    assert "if" not in _LANE_TEMPLATES["MUX2"]
+    assert "if" in TEMPLATES["MUX2"]
+    assert "if" not in LANE_TEMPLATES["MUX2"]
 
 
 @pytest.mark.parametrize(
@@ -151,7 +151,7 @@ def test_lane_step_matches_word_step_per_lane(sim):
     for pair in range(PAIRS):
         lanes = _lane_states(rng, compiled.num_state_bits)
         words = _random_words(rng, sim.input_widths)
-        expected = [compiled.word_step(list(s), words, None) for s in lanes]
+        expected = [compiled.word_step(list(s), words) for s in lanes]
 
         next_state, out_words, diverged = compiled.lane_step(
             _pack(lanes), words, mask

@@ -9,7 +9,8 @@ The two must agree wire for wire on 8500-cycle avr-fib and msp430-fib
 traces and on a netlist of cells simulated through the tabulated-SOP
 fallback. Both cores' vectors are also pinned to a digest, and the
 committed ``.repro_cache`` trace files must equal a freshly recorded
-trace.
+trace. Broken candidates (``CONST1`` dropped, an input bit taken from
+the wrong word position) must be caught.
 """
 
 import hashlib
@@ -19,7 +20,9 @@ import numpy as np
 import pytest
 
 from repro.eval import context
+from repro.netlist.netlist import CONST1
 from repro.sim import Simulator, TableTestbench
+from repro.trace import Trace
 from tests.prune.test_events_reference import _sop_netlist
 
 CYCLES = context.TRACE_CYCLES
@@ -32,8 +35,7 @@ ROW_DIGESTS = {"avr-fib": "99acbb6191401c07", "msp430-fib": "c9a07efb04d70064"}
 
 def _vectors(trace):
     """One int per traced wire, in trace order: bit ``c`` is cycle ``c``."""
-    packed = np.packbits(trace.columns(trace.wire_names), axis=0, bitorder="little")
-    return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
+    return [trace.vector(wire) for wire in trace.wire_names]
 
 
 def _row_vectors(simulator, testbench, cycles):
@@ -130,3 +132,32 @@ def test_cached_trace_equals_recorded(cases, core):
     case = cases(f"{core}-fib")
     assert cached == case.trace
     assert first_difference(cached, case.wires, case.vectors) is None
+
+
+@pytest.mark.parametrize("name", ["avr-fib", "sop"])
+def test_dropped_const1_is_caught(cases, name):
+    case = cases(name)
+    trace = case.trace
+    vectors = [
+        0 if wire == CONST1 else vector
+        for wire, vector in zip(trace.wire_names, _vectors(trace))
+    ]
+    broken = Trace(trace.wire_names, vectors, trace.num_cycles)
+    assert first_difference(broken, case.wires, case.vectors) is not None
+
+
+@pytest.mark.parametrize("name", ["avr-fib", "msp430-fib"])
+def test_wrong_input_bit_is_caught(cases, name, monkeypatch):
+    case = cases(name)
+    compiled = case.simulator.compiled
+    # Every input wire of a multi-bit word reads the next bit up. The word
+    # step was generated at compile time, so only the derivation sees it.
+    widths = compiled.input_widths
+    broken_order = [
+        (position, word, (bit + 1) % widths[word])
+        for position, word, bit in compiled.input_order
+    ]
+    monkeypatch.setattr(compiled, "input_order", broken_order)
+    core = name.split("-")[0]
+    broken = case.simulator.run(context.make_system(core, "fib"), max_cycles=CYCLES)
+    assert first_difference(broken.trace, case.wires, case.vectors) is not None

@@ -133,6 +133,31 @@ class TestStoreLifecycle:
             ):
                 ResultsStore(db)
 
+    def test_refused_open_leaves_the_file_untouched(self, tmp_path):
+        # A later schema that dropped or renamed a table: the refusal must
+        # not create this build's tables in it.
+        db = tmp_path / "later.sqlite3"
+        conn = sqlite3.connect(db)
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+        conn.execute("INSERT INTO meta VALUES ('schema_version', '999')")
+        conn.execute("CREATE TABLE runs (id INTEGER PRIMARY KEY)")
+        conn.commit()
+        conn.close()
+
+        def schema():
+            conn = sqlite3.connect(db)
+            try:
+                return conn.execute(
+                    "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
+                ).fetchall()
+            finally:
+                conn.close()
+
+        before = schema()
+        with pytest.raises(StoreError, match="schema version 999"):
+            ResultsStore(db)
+        assert schema() == before
+
     def test_query_is_read_only(self, store, tmp_path):
         store.ingest_journal(make_journal(tmp_path / "c.jsonl"))
         names, rows = store.query("SELECT COUNT(*) FROM outcomes")

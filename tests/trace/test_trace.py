@@ -18,21 +18,21 @@ def trace():
         ],
         dtype=np.uint8,
     )
-    return Trace(["x", "y", "z"], matrix)
+    return Trace.from_matrix(["x", "y", "z"], matrix)
 
 
 class TestConstruction:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            Trace(["a"], np.zeros((2, 2), dtype=np.uint8))
+            Trace.from_matrix(["a"], np.zeros((2, 2), dtype=np.uint8))
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
-            Trace(["a"], np.array([[2]], dtype=np.uint8))
+            Trace.from_matrix(["a"], np.array([[2]], dtype=np.uint8))
 
     def test_wrong_ndim(self):
         with pytest.raises(ValueError):
-            Trace(["a"], np.zeros(3, dtype=np.uint8))
+            Trace.from_matrix(["a"], np.zeros(3, dtype=np.uint8))
 
 
 class TestAccess:
@@ -67,9 +67,10 @@ class TestAccess:
         assert part.value(0, "x") == 1
 
     def test_equality(self, trace):
-        clone = Trace(trace.wire_names, trace.matrix.copy())
+        matrix = trace.columns(trace.wire_names)
+        clone = Trace.from_matrix(trace.wire_names, matrix)
         assert clone == trace
-        different = Trace(trace.wire_names, np.zeros_like(trace.matrix))
+        different = Trace.from_matrix(trace.wire_names, np.zeros_like(matrix))
         assert different != trace
 
 
@@ -84,7 +85,7 @@ def test_word_roundtrip_property(width, cycles, rng):
         [[rng.randint(0, 1) for _ in range(width)] for _ in range(cycles)],
         dtype=np.uint8,
     )
-    trace = Trace(names, matrix)
+    trace = Trace.from_matrix(names, matrix)
     for cycle in range(cycles):
         word = trace.word(cycle, names)
         assert [(word >> i) & 1 for i in range(width)] == matrix[cycle].tolist()

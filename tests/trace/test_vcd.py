@@ -28,7 +28,7 @@ def _random_trace(rng, wires, cycles):
         [[rng.randint(0, 1) for _ in range(wires)] for _ in range(cycles)],
         dtype=np.uint8,
     )
-    return Trace([f"wire_{i}" for i in range(wires)], matrix)
+    return Trace.from_matrix([f"wire_{i}" for i in range(wires)], matrix)
 
 
 class TestRoundtrip:
@@ -43,14 +43,14 @@ class TestRoundtrip:
         assert parse_vcd(write_vcd(trace)) == trace
 
     def test_empty_trace(self):
-        trace = Trace(["a"], np.zeros((0, 1), dtype=np.uint8))
+        trace = Trace.from_matrix(["a"], np.zeros((0, 1), dtype=np.uint8))
         parsed = parse_vcd(write_vcd(trace))
         assert parsed.num_cycles == 0
         assert parsed.wire_names == ("a",)
 
     def test_constant_wire_only_dumped_once(self):
         matrix = np.array([[1], [1], [1]], dtype=np.uint8)
-        text = write_vcd(Trace(["const_wire"], matrix))
+        text = write_vcd(Trace.from_matrix(["const_wire"], matrix))
         # After the initial dump there must be no further changes.
         body = text.split("$enddefinitions $end")[1]
         assert body.count("1!") == 1
@@ -58,7 +58,7 @@ class TestRoundtrip:
 
 class TestParserEdges:
     def test_header_metadata_preserved(self):
-        trace = Trace(["sig"], np.array([[1]], dtype=np.uint8))
+        trace = Trace.from_matrix(["sig"], np.array([[1]], dtype=np.uint8))
         text = write_vcd(trace, module="cpu", timescale="10ps")
         assert "$scope module cpu $end" in text
         assert "$timescale 10ps $end" in text
@@ -71,7 +71,7 @@ class TestParserEdges:
             "#0\n0!\n#1\n1!\n"
         )
         parsed = parse_vcd(text)
-        assert parsed.matrix.tolist() == [[0], [1]]
+        assert parsed.columns(["a"]).tolist() == [[0], [1]]
 
     def test_unsupported_vector_var_rejected(self):
         with pytest.raises(ValueError, match="unsupported"):
