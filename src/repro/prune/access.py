@@ -78,20 +78,14 @@ class EventClassifier:
         self._golden = [trace.vector(wire) for wire in trace.wire_names]
         self._column = column = trace.column_index
 
-        cells = {}
         #: Per topological position: (lane function, input columns, output).
         self._gates: list[tuple] = []
         #: Column -> topological positions of the gates reading it.
         self._readers: dict[int, list[int]] = {}
         for position, gate in enumerate(netlist.topological_gates()):
-            cell = cells.get(gate.cell)
-            if cell is None:
-                library_cell = netlist.library[gate.cell]
-                cell = (lane_function(library_cell), library_cell.inputs)
-                cells[gate.cell] = cell
-            function, pins = cell
-            inputs = tuple(column(gate.inputs[pin]) for pin in pins)
-            self._gates.append((function, inputs, column(gate.output)))
+            cell = netlist.library[gate.cell]
+            inputs = tuple(column(gate.inputs[pin]) for pin in cell.inputs)
+            self._gates.append((lane_function(cell), inputs, column(gate.output)))
             for wire in set(inputs):
                 self._readers.setdefault(wire, []).append(position)
 

@@ -34,8 +34,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trace.from_matrix(["a"], np.zeros(3, dtype=np.uint8))
 
+    def test_vector_count_mismatch(self):
+        with pytest.raises(ValueError):
+            Trace(["a", "b"], [0], 1)
+
+    def test_vector_beyond_cycles_rejected(self):
+        with pytest.raises(ValueError):
+            Trace(["a"], [0b100], 2)
+
 
 class TestAccess:
+    def test_vector_bit_per_cycle(self, trace):
+        assert trace.vector("x") == 0b110
+        assert trace.vector("z") == 0b100
+        assert trace == Trace(["x", "y", "z"], [0b110, 0b011, 0b100], 3)
+
+    def test_cycle_outside_trace(self, trace):
+        with pytest.raises(IndexError):
+            trace.value(3, "x")
+
     def test_value(self, trace):
         assert trace.value(0, "y") == 1
         assert trace.value(2, "x") == 1
@@ -65,6 +82,7 @@ class TestAccess:
         part = trace.slice_cycles(1, 3)
         assert part.num_cycles == 2
         assert part.value(0, "x") == 1
+        assert part.vector("y") == 0b01
 
     def test_equality(self, trace):
         matrix = trace.columns(trace.wire_names)
