@@ -46,7 +46,8 @@ store-smoke:     ## warehouse round trip on the campaign-demo journal
 prune-smoke:     ## def-use pruning: audit, accounting, collapsed-vs-full gate
 	mkdir -p $(SMOKE)
 	rm -rf $(SMOKE)/prune-smoke.sqlite3 $(SMOKE)/prune-smoke-heatmap.html \
-		$(SMOKE)/prune-accounting.txt $(SMOKE)/prune-full.jsonl \
+		$(SMOKE)/prune-accounting.txt $(SMOKE)/prune-combined.txt \
+		$(SMOKE)/prune-full.jsonl \
 		$(SMOKE)/prune-full.jsonl.telemetry $(SMOKE)/prune-defuse.jsonl \
 		$(SMOKE)/prune-defuse.jsonl.telemetry
 	# Sampled prune.* audit on both cores: any refuted claim is an
@@ -54,6 +55,8 @@ prune-smoke:     ## def-use pruning: audit, accounting, collapsed-vs-full gate
 	$(PYTHON) -m repro.lint avr msp430 --audit-prune \
 		--rules prune.cert-invalid,prune.dead-refuted,prune.equiv-refuted
 	$(PYTHON) -m repro.eval prune | tee $(SMOKE)/prune-accounting.txt
+	# MATE x gate-level def-use over all four named targets' golden runs.
+	$(PYTHON) -m repro.eval combined | tee $(SMOKE)/prune-combined.txt
 	# Same sampled points, full campaign vs def-use collapse; the diff
 	# gate exits 1 on any outcome flip between them. 2000 points is dense
 	# enough for the collapse to save >2x injections (the headline win).

@@ -23,8 +23,6 @@ from repro.fi import Campaign, Outcome, avr_target
 from repro.programs import avr_fib
 from repro.sim import Simulator
 
-import numpy as np
-
 
 def main() -> None:
     parser = argparse.ArgumentParser()
@@ -56,10 +54,7 @@ def main() -> None:
     dff_names = [wires[w] for w in wires]
     space = FaultSpace(dff_names, golden.trace.num_cycles)
     for wire, dff_name in wires.items():
-        packed = replay.masked_vector(wire)
-        space.mark_benign_cycles(
-            dff_name, np.unpackbits(packed)[: golden.trace.num_cycles]
-        )
+        space.mark_benign_cycles(dff_name, replay.masked_vector(wire))
     print(f"  fault space: {space.size} points, "
           f"{space.num_benign} pruned ({100 * space.benign_fraction:.1f}%)")
 

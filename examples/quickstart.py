@@ -10,8 +10,6 @@ Run with::
     python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro.core import FaultSpace, compute_fault_cone, find_mates, replay_mates
 from repro.eval.example_circuit import (
     FIGURE1_FAULT_WIRES,
@@ -52,9 +50,7 @@ def main() -> None:
 
     space = FaultSpace(list(FIGURE1_FAULT_WIRES), len(rows))
     for wire in FIGURE1_FAULT_WIRES:
-        space.mark_benign_cycles(
-            wire, np.unpackbits(replay.masked_vector(wire))[: len(rows)]
-        )
+        space.mark_benign_cycles(wire, replay.masked_vector(wire))
     print("\nfault space after pruning (● inject, ○ benign):")
     print(space.render_grid())
     print(

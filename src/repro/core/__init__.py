@@ -15,14 +15,13 @@ Pipeline:
 from repro.util.lazy import lazy_exports
 
 # Submodules load on first use: the injection path imports
-# ``repro.core.faultspace`` and must not pay for the MATE search or numpy.
+# ``repro.core.faultspace`` and must not pay for the MATE search.
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "cone": ("FaultCone", "compute_fault_cone"),
         "faultspace": ("FaultSpace",),
         "implication": ("ImplicationEngine", "forcing_ancestors"),
-        "intercycle": ("RegisterAccessModel", "intercycle_benign"),
         "mate": ("Mate", "MateSet"),
         "multibit": ("adjacent_register_pairs", "find_pair_mates"),
         "multicycle": ("masked_within_k_cycles", "multicycle_headroom"),
@@ -47,7 +46,6 @@ __all__ = [
     "Mate",
     "MateSet",
     "PathEnumeration",
-    "RegisterAccessModel",
     "ReplayResult",
     "SearchParameters",
     "SearchResult",
@@ -59,7 +57,6 @@ __all__ = [
     "find_mates",
     "find_pair_mates",
     "forcing_ancestors",
-    "intercycle_benign",
     "masked_within_k_cycles",
     "masked_within_one_cycle",
     "multicycle_headroom",

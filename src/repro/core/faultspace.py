@@ -1,10 +1,15 @@
-"""Fault-space accounting: the (flip-flop × cycle) SEU grid of Sec. 2."""
+"""Fault-space accounting: the (flip-flop × cycle) SEU grid of Sec. 2.
+
+Each fault wire's row of the grid is one *cycle vector*: a Python int whose
+bit ``c`` is set when the point at cycle ``c`` is benign. A union of
+pruning layers is ``|``, an overlap ``&`` and a count ``bit_count()``.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
+from repro.util.bits import set_bits
 
 
 class FaultSpace:
@@ -22,50 +27,47 @@ class FaultSpace:
         self.fault_wires = list(fault_wires)
         self.num_cycles = num_cycles
         self._row = {wire: i for i, wire in enumerate(self.fault_wires)}
-        self.benign = np.zeros((len(self.fault_wires), num_cycles), dtype=bool)
-        # Per-layer grids (e.g. "mate", "defuse"); ``benign`` is their union
+        #: Per-row benign cycle vectors: the union of every mark.
+        self.benign = [0] * len(self.fault_wires)
+        # Per-layer rows (e.g. "mate", "defuse"); ``benign`` is their union
         # plus any unattributed marks.
-        self._layers: dict[str, np.ndarray] = {}
+        self._layers: dict[str, list[int]] = {}
 
     @property
     def size(self) -> int:
         """Total number of (wire, cycle) injection points."""
         return len(self.fault_wires) * self.num_cycles
 
-    def _layer_grid(self, layer: str) -> np.ndarray:
-        grid = self._layers.get(layer)
-        if grid is None:
-            grid = np.zeros_like(self.benign)
-            self._layers[layer] = grid
-        return grid
+    def _mark(self, fault_wire: str, vector: int, layer: str | None) -> None:
+        row = self._row[fault_wire]
+        self.benign[row] |= vector
+        if layer is not None:
+            rows = self._layers.setdefault(layer, [0] * len(self.fault_wires))
+            rows[row] |= vector
 
-    def _clip(self, cycles: np.ndarray) -> np.ndarray:
-        """Normalize a per-cycle mark vector to exactly ``num_cycles`` bits.
-
-        Shorter vectors are zero-padded, longer ones truncated, so pruning
-        layers computed over a different horizon (e.g. a free-running trace
-        vs. the halting golden run) compose without shape errors.
-        """
-        cycles = np.asarray(cycles).astype(bool).ravel()
-        vec = np.zeros(self.num_cycles, dtype=bool)
-        n = min(cycles.shape[0], self.num_cycles)
-        vec[:n] = cycles[:n]
-        return vec
+    def _cycle(self, cycle: int) -> int:
+        if not 0 <= cycle < self.num_cycles:
+            raise IndexError(f"cycle {cycle} outside [0, {self.num_cycles})")
+        return cycle
 
     def mark_benign(self, fault_wire: str, cycle: int, layer: str | None = None) -> None:
         """Prune one injection point as provably benign."""
-        self.benign[self._row[fault_wire], cycle] = True
-        if layer is not None:
-            self._layer_grid(layer)[self._row[fault_wire], cycle] = True
+        self._mark(fault_wire, 1 << self._cycle(cycle), layer)
 
     def mark_benign_cycles(
-        self, fault_wire: str, cycles: np.ndarray, layer: str | None = None
+        self, fault_wire: str, cycles: int, layer: str | None = None
     ) -> None:
-        """Mark a boolean per-cycle vector of benign points for one wire."""
-        vec = self._clip(cycles)
-        self.benign[self._row[fault_wire]] |= vec
-        if layer is not None:
-            self._layer_grid(layer)[self._row[fault_wire]] |= vec
+        """Mark a cycle vector of benign points for one wire.
+
+        Raises ``ValueError`` for a bit at or past :attr:`num_cycles`: a
+        vector from a longer run belongs to a different fault space.
+        """
+        if cycles < 0 or cycles >> self.num_cycles:
+            raise ValueError(
+                f"cycle vector for {fault_wire!r} has bits beyond "
+                f"{self.num_cycles} cycles"
+            )
+        self._mark(fault_wire, cycles, layer)
 
     @property
     def layers(self) -> tuple[str, ...]:
@@ -74,23 +76,19 @@ class FaultSpace:
 
     def layer_benign(self, layer: str) -> int:
         """Points pruned by one named layer (independent of other layers)."""
-        grid = self._layers.get(layer)
-        return int(grid.sum()) if grid is not None else 0
+        return sum(vector.bit_count() for vector in self._layers.get(layer, ()))
 
     def layer_overlap(self, a: str, b: str) -> int:
         """Points pruned by *both* named layers."""
-        grid_a = self._layers.get(a)
-        grid_b = self._layers.get(b)
-        if grid_a is None or grid_b is None:
-            return 0
-        return int((grid_a & grid_b).sum())
+        rows_a = self._layers.get(a, ())
+        rows_b = self._layers.get(b, ())
+        return sum((x & y).bit_count() for x, y in zip(rows_a, rows_b))
 
     def pruned_by(self, fault_wire: str, cycle: int) -> tuple[str, ...]:
         """Sorted layer names that pruned this point (empty if unpruned)."""
         row = self._row[fault_wire]
-        return tuple(
-            name for name in self.layers if self._layers[name][row, cycle]
-        )
+        bit = 1 << self._cycle(cycle)
+        return tuple(name for name in self.layers if self._layers[name][row] & bit)
 
     def attribution(self) -> dict[str, int]:
         """Per-layer pruned-point totals plus the cross-layer overlaps.
@@ -109,20 +107,23 @@ class FaultSpace:
             for i, a in enumerate(names):
                 for b in names[i + 1 :]:
                     counts[f"{a}&{b}"] = self.layer_overlap(a, b)
-            every = np.ones_like(self.benign)
-            for name in names:
-                every &= self._layers[name]
-            counts["all"] = int(every.sum())
+            every = 0
+            for rows in zip(*(self._layers[name] for name in names)):
+                common = rows[0]
+                for vector in rows[1:]:
+                    common &= vector
+                every += common.bit_count()
+            counts["all"] = every
         return counts
 
     def is_benign(self, fault_wire: str, cycle: int) -> bool:
         """True if the point has been pruned."""
-        return bool(self.benign[self._row[fault_wire], cycle])
+        return bool(self.benign[self._row[fault_wire]] >> self._cycle(cycle) & 1)
 
     @property
     def num_benign(self) -> int:
         """Number of pruned points."""
-        return int(self.benign.sum())
+        return sum(vector.bit_count() for vector in self.benign)
 
     @property
     def num_remaining(self) -> int:
@@ -136,12 +137,12 @@ class FaultSpace:
 
     def remaining_points(self) -> list[tuple[str, int]]:
         """All (fault wire, cycle) points not pruned (campaign fault list)."""
-        points: list[tuple[str, int]] = []
-        for wire in self.fault_wires:
-            row = self.benign[self._row[wire]]
-            for cycle in np.nonzero(~row)[0]:
-                points.append((wire, int(cycle)))
-        return points
+        every = (1 << self.num_cycles) - 1
+        return [
+            (wire, cycle)
+            for wire in self.fault_wires
+            for cycle in set_bits(every & ~self.benign[self._row[wire]])
+        ]
 
     def render_grid(self, filled: str = "●", empty: str = "○") -> str:
         """ASCII art of the fault space (Figure 1b style)."""
@@ -149,7 +150,10 @@ class FaultSpace:
         lines = []
         for wire in self.fault_wires:
             row = self.benign[self._row[wire]]
-            dots = " ".join(empty if b else filled for b in row)
+            dots = " ".join(
+                empty if row >> cycle & 1 else filled
+                for cycle in range(self.num_cycles)
+            )
             lines.append(f"{wire:>{width}} {dots}")
         header = " " * width + " " + " ".join(
             str(c % 10) for c in range(self.num_cycles)

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
-from repro.core.replay import _POPCOUNT, ReplayResult
+from repro.core.replay import ReplayResult
 
 
-def rate_mates(replay: ReplayResult) -> np.ndarray:
+def rate_mates(replay: ReplayResult) -> list[int]:
     """Hit counter per MATE (marginal masked pairs under global-rank order)."""
     totals = replay.masked_pairs_per_mate()
     # Global processing order: strongest first; ties broken by index for
@@ -24,19 +22,15 @@ def rate_mates(replay: ReplayResult) -> np.ndarray:
     order = sorted(range(replay.num_mates), key=lambda i: (-totals[i], i))
     rank_of = {mate_index: rank for rank, mate_index in enumerate(order)}
 
-    hits = np.zeros(replay.num_mates, dtype=np.int64)
-    packed_len = replay.triggered_packed.shape[1]
+    hits = [0] * replay.num_mates
     for wire in replay.fault_wires:
-        indices = replay.mates_of_fault.get(wire, ())
-        if not indices:
-            continue
-        covered = np.zeros(packed_len, dtype=np.uint8)
-        for mate_index in sorted(indices, key=lambda i: rank_of[i]):
-            row = replay.triggered_packed[mate_index]
-            newly = row & ~covered
-            if newly.any():
-                hits[mate_index] += int(_POPCOUNT[newly].sum())
-                covered |= row
+        covered = 0
+        for mate_index in sorted(replay.mates_of_fault.get(wire, ()), key=rank_of.get):
+            vector = replay.trigger_vectors[mate_index]
+            newly = vector & ~covered
+            if newly:
+                hits[mate_index] += newly.bit_count()
+                covered |= vector
     return hits
 
 

@@ -1,19 +1,17 @@
-"""Register def-use access model for the AVR core (inter-cycle pruning).
+"""Register def-use access sets for the AVR core (static dataflow layer).
 
 ``registers_read`` over-approximates, per instruction word, which
 general-purpose registers the execute stage can observe — everything the
-decode gating lets through to an endpoint. Used by
-:mod:`repro.core.intercycle` to prune register-file faults that die
-overwritten-unread, the ISA-level complement the paper points to in
-Sec. 6.3.
+decode gating lets through to an endpoint — and ``registers_written``
+under-approximates the registers it must overwrite. The binary-level
+static layer (:mod:`repro.prune.dataflow`) decodes the program with them
+to prove register-file faults that die overwritten-unread on every path,
+the ISA-level complement the paper points to in Sec. 6.3.
 """
 
 from __future__ import annotations
 
-from repro.core.intercycle import RegisterAccessModel
 from repro.cpu.avr import isa
-from repro.netlist.netlist import Netlist
-from repro.synth.lower import bit_name
 
 
 def registers_read(word: int) -> set[int]:
@@ -100,22 +98,3 @@ def registers_written(word: int) -> set[int]:
 
     # OUT, branches, RJMP, RCALL and anything unimplemented write no GPRs.
     return set()
-
-
-def avr_access_model(netlist: Netlist) -> RegisterAccessModel:
-    """Def-use model over the synthesized AVR netlist's trace wires."""
-    registers = {
-        index: [bit_name(f"rf_r{index}", bit, 8) for bit in range(8)]
-        for index in range(32)
-    }
-    instruction_wires = [bit_name("ir", bit, 16) for bit in range(16)]
-    missing = [w for w in instruction_wires if w not in netlist.wires()]
-    if missing:
-        raise ValueError(f"netlist lacks expected IR wires: {missing[:3]}")
-    return RegisterAccessModel(
-        registers=registers,
-        instruction_wires=instruction_wires,
-        reads_of=registers_read,
-        valid_wire="flush",
-        valid_active_low=True,
-    )

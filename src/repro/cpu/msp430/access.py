@@ -1,19 +1,15 @@
-"""Register def-use access model for the MSP430 core (inter-cycle pruning).
+"""Register def-use access sets for the MSP430 core (static dataflow layer).
 
-Over-approximates which general-purpose registers (r1, r4..r15 — the
-RF-tagged set) an instruction word may read. Both the IR (valid through a
-multi-cycle instruction) and the live memory-read bus (which carries the
-*next* instruction during FETCH, when the shared register port already
-reads its source field) are decoded; garbage words from data reads only
-add spurious reads, which is conservative.
+``registers_read`` over-approximates which general-purpose registers (r1,
+r4..r15 — the RF-tagged set) an instruction word may read, and
+``registers_written`` under-approximates the ones it must overwrite. The
+binary-level static layer (:mod:`repro.prune.dataflow`) decodes the
+program with them to prove register-file faults dead on every path.
 """
 
 from __future__ import annotations
 
-from repro.core.intercycle import RegisterAccessModel
 from repro.cpu.msp430 import isa
-from repro.netlist.netlist import Netlist
-from repro.synth.lower import bit_name
 
 #: RF-tagged registers of the core (PC, SR have dedicated analyses; r3 has
 #: no storage).
@@ -103,23 +99,3 @@ def registers_written(word: int) -> set[int]:
     if mnemonic not in ("cmp", "bit") and ad_mode == 0 and dst in RF_REGISTERS:
         regs.add(dst)
     return regs
-
-
-def msp430_access_model(netlist: Netlist) -> RegisterAccessModel:
-    """Def-use model over the synthesized MSP430 netlist's trace wires."""
-    registers = {
-        index: [bit_name(f"rf_r{index}", bit, 16) for bit in range(16)]
-        for index in RF_REGISTERS
-    }
-    instruction_wires = [bit_name("ir", bit, 16) for bit in range(16)]
-    fetch_bus = [bit_name("mem_rdata", bit, 16) for bit in range(16)]
-    wires = netlist.wires()
-    for wire in (*instruction_wires, *fetch_bus):
-        if wire not in wires:
-            raise ValueError(f"netlist lacks expected wire {wire}")
-    return RegisterAccessModel(
-        registers=registers,
-        instruction_wires=instruction_wires,
-        reads_of=registers_read,
-        extra_instruction_wires=fetch_bus,
-    )

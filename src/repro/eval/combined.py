@@ -1,12 +1,14 @@
 """Cross-layer combination experiment (paper Sec. 6.3's vision).
 
 The paper argues for combining HAFI flip-flop-level pruning (MATEs) with
-ISA-level software pruning taking over for architectural state. This
-experiment quantifies exactly that on our cores:
+def-use pruning taking over for architectural state. This experiment
+quantifies exactly that on our cores, over each named target's halting
+golden run:
 
 - MATEs prune intra-cycle-masked faults (strong on pipeline/FSM state);
-- def-use pruning removes register-file faults that die overwritten-unread
-  (strong exactly where MATEs are weak, Sec. 6.3);
+- the gate-level def-use layer (:mod:`repro.prune`) proves points dead:
+  the flipped bit is overwritten before anything reads it (strong on the
+  register files, exactly where MATEs are weak, Sec. 6.3);
 - the union is the combined campaign fault-list reduction.
 """
 
@@ -14,14 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.faultspace import FaultSpace
-from repro.core.intercycle import prune_fault_space
-from repro.core.replay import replay_mates
-from repro.cpu.avr.access import avr_access_model
-from repro.cpu.msp430.access import msp430_access_model
 from repro.eval import context
+from repro.fi.targets import NAMED_TARGETS
+from repro.prune import get_analysis, get_mate_vectors
+from repro.prune.accounting import LAYER_DEFUSE, LAYER_MATE
 
 
 @dataclass
@@ -67,7 +66,7 @@ class CombinedReport:
         ]
         for row in self.rows:
             lines.append(
-                f"{row.core}/{row.program:<10s}"
+                f"{row.core + '/' + row.program:<16s}"
                 f"{100 * row.mate_fraction:9.2f}%"
                 f"{100 * row.defuse_fraction:9.2f}%"
                 f"{100 * row.combined_fraction:9.2f}%"
@@ -75,50 +74,27 @@ class CombinedReport:
         return "\n".join(lines)
 
 
-def _access_model(core: str):
-    if core == "avr":
-        return avr_access_model(context.get_netlist(core))
-    return msp430_access_model(context.get_netlist(core))
-
-
-def build_combined(cores=context.CORES, programs=context.PROGRAMS) -> CombinedReport:
-    """MATE vs def-use vs combined benign fractions over the full FF space."""
+def build_combined(targets=NAMED_TARGETS) -> CombinedReport:
+    """MATE vs def-use vs combined benign fractions over each golden run."""
     rows = []
-    for core in cores:
-        netlist = context.get_netlist(core)
-        mates = context.get_mates(core, exclude_register_file=False)
-        fault_wires = context.get_fault_wires(core, exclude_register_file=False)
-        model = _access_model(core)
-        for program in programs:
-            trace = context.get_trace(core, program)
-            replay = replay_mates(mates, trace, fault_wires)
-
-            combined = FaultSpace(fault_wires, trace.num_cycles)
-            mate_count = 0
-            for wire in fault_wires:
-                benign = np.unpackbits(replay.masked_vector(wire))[
-                    : trace.num_cycles
-                ]
-                mate_count += int(benign.sum())
-                combined.mark_benign_cycles(wire, benign)
-
-            defuse_space = prune_fault_space(trace, model)
-            defuse_count = defuse_space.num_benign
-            for wire in defuse_space.fault_wires:
-                if wire in fault_wires:
-                    row_index = defuse_space._row[wire]  # noqa: SLF001
-                    combined.mark_benign_cycles(
-                        wire, defuse_space.benign[row_index]
-                    )
-
-            rows.append(
-                CombinedRow(
-                    core=core,
-                    program=program,
-                    fault_space=combined.size,
-                    mate_benign=mate_count,
-                    defuse_benign=defuse_count,
-                    combined_benign=combined.num_benign,
-                )
+    for target in targets:
+        core, _, program = target.partition("-")
+        equivalence_map = get_analysis(target).map
+        mate_vectors = get_mate_vectors(target)
+        space = FaultSpace(list(mate_vectors), equivalence_map.golden_cycles)
+        for wire, vector in mate_vectors.items():
+            space.mark_benign_cycles(wire, vector, layer=LAYER_MATE)
+        for name, dff in context.get_netlist(core).dffs.items():
+            dead = equivalence_map.pruned_vector(name, include_followers=False)
+            space.mark_benign_cycles(dff.q, dead, layer=LAYER_DEFUSE)
+        rows.append(
+            CombinedRow(
+                core=core,
+                program=program,
+                fault_space=space.size,
+                mate_benign=space.layer_benign(LAYER_MATE),
+                defuse_benign=space.layer_benign(LAYER_DEFUSE),
+                combined_benign=space.num_benign,
             )
+        )
     return CombinedReport(rows)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.cone import compute_fault_cone
 from repro.core.faultspace import FaultSpace
 from repro.core.replay import replay_mates
@@ -77,8 +75,7 @@ def build_figure1() -> Figure1:
     replay = replay_mates(mates, trace, list(FIGURE1_FAULT_WIRES))
     grid = FaultSpace(list(FIGURE1_FAULT_WIRES), len(rows))
     for wire in FIGURE1_FAULT_WIRES:
-        packed = replay.masked_vector(wire)
-        grid.mark_benign_cycles(wire, np.unpackbits(packed)[: len(rows)])
+        grid.mark_benign_cycles(wire, replay.masked_vector(wire))
 
     return Figure1(
         cone_report=cone_report,

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.eval import context
-from repro.prune import PruneAccounting, account, get_equivalence_map
+from repro.prune import (
+    PruneAccounting,
+    account,
+    get_equivalence_map,
+    get_mate_vectors,
+)
 
 #: Workloads tabulated by default (one per core keeps the cold-cache cost
 #: of the MATE replay bounded; ``--all-programs`` covers the rest).
@@ -25,31 +28,13 @@ DEFAULT_TARGETS = ("avr-fib", "msp430-fib")
 ALL_TARGETS = ("avr-fib", "avr-conv", "msp430-fib", "msp430-conv")
 
 
-def _mate_vectors(core: str, program: str, golden_cycles: int) -> dict:
-    """Per-fault-wire MATE trigger vectors truncated to the golden run."""
-    from repro.core.replay import replay_mates
-
-    mates = context.get_mates(core, exclude_register_file=False)
-    fault_wires = context.get_fault_wires(core, exclude_register_file=False)
-    trace = context.get_trace(core, program)
-    replay = replay_mates(mates, trace, fault_wires)
-    return {
-        wire: np.unpackbits(replay.masked_vector(wire))[:golden_cycles]
-        for wire in fault_wires
-    }
-
-
 def account_target(
     target_name: str, with_mates: bool = True, with_static: bool = True
 ) -> PruneAccounting:
     """The accounting row for one named workload."""
-    core, _, program = target_name.partition("-")
+    core = target_name.partition("-")[0]
     equivalence_map = get_equivalence_map(target_name)
-    mate_vectors = (
-        _mate_vectors(core, program, equivalence_map.golden_cycles)
-        if with_mates
-        else None
-    )
+    mate_vectors = get_mate_vectors(target_name) if with_mates else None
     static_map = None
     if with_static:
         from repro.prune import get_static_map

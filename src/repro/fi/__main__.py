@@ -141,26 +141,6 @@ def _telemetry_dir_for(args: argparse.Namespace) -> Path | None:
     return None
 
 
-def _mate_vectors(
-    runner: CampaignRunner, target: str
-) -> dict[str, "object"]:
-    """Per-fault-wire MATE trigger vectors, truncated to the golden run."""
-    import numpy as np
-
-    from repro.core.replay import replay_mates
-    from repro.eval import context
-
-    core, _, program = target.partition("-")
-    mates = context.get_mates(core, exclude_register_file=False)
-    fault_wires = context.get_fault_wires(core, exclude_register_file=False)
-    trace = context.get_trace(core, program)
-    replay = replay_mates(mates, trace, fault_wires)
-    return {
-        wire: np.unpackbits(replay.masked_vector(wire))[: runner.golden_cycles]
-        for wire in fault_wires
-    }
-
-
 def _pruned_points(
     runner: CampaignRunner, target: str, num_samples: int, seed: int
 ) -> tuple[list[tuple[str, int]], dict, dict]:
@@ -174,10 +154,11 @@ def _pruned_points(
     import random
 
     from repro.core.faultspace import FaultSpace
+    from repro.prune import get_mate_vectors
 
     netlist = runner.target.simulator.netlist
     dff_of_wire = {dff.q: name for name, dff in netlist.dffs.items()}
-    mate_vectors = _mate_vectors(runner, target)
+    mate_vectors = get_mate_vectors(target)
 
     space = FaultSpace(list(mate_vectors), runner.golden_cycles)
     for wire, benign in mate_vectors.items():
@@ -193,7 +174,7 @@ def _pruned_points(
     meta = {
         "pruned": True,
         "space_points": space.size,
-        "pruned_points": int(space.num_benign),
+        "pruned_points": space.num_benign,
     }
     return remaining, meta, mate_vectors
 

@@ -19,6 +19,7 @@ from collections.abc import Iterator
 
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import LintConfig, LintTarget, registered_rule, rule
+from repro.util.bits import set_bits
 
 
 
@@ -88,9 +89,9 @@ def check_static_dead_points(
     static_map = audit.map
     rng = random.Random(config.dataflow_seed)
     cells = [
-        (register, int(cycle))
+        (register, cycle)
         for register in static_map.registers()
-        for cycle in static_map.dead_cycles(register).nonzero()[0]
+        for cycle in set_bits(static_map.dead_cycles(register))
     ]
     for register, cycle in _sample(cells, config.dataflow_samples, rng):
         bit = rng.randrange(static_map.register_width)

@@ -33,6 +33,7 @@ from repro.prune.analyze import (
     analyze_target,
     get_analysis,
     get_equivalence_map,
+    get_mate_vectors,
     get_prune_audit,
 )
 from repro.prune.certificate import classify_cycle, verify_claim
@@ -87,6 +88,7 @@ __all__ = [
     "get_dataflow_analysis",
     "get_dataflow_audit",
     "get_equivalence_map",
+    "get_mate_vectors",
     "get_prune_audit",
     "get_static_map",
     "partition_events",

@@ -32,8 +32,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from heapq import heappop, heappush
 
-import numpy as np
-
 from repro.cells.expressions import lane_function
 from repro.netlist.netlist import Netlist
 from repro.trace.trace import Trace
@@ -44,10 +42,18 @@ EVENT_HOLD = "h"
 EVENT_KILL = "k"
 
 
-def _cycle_bits(vector: int, num_cycles: int) -> np.ndarray:
-    """A cycle vector unpacked to one ``uint8`` per cycle."""
-    raw = np.frombuffer(vector.to_bytes((num_cycles + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(raw, count=num_cycles, bitorder="little")
+#: '0'/'1' digits to byte values 0/1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+#: Per-cycle ``2 * escape + hold`` byte to its event code.
+_EVENT_CODES = bytes.maketrans(
+    b"\x00\x01\x02\x03", (EVENT_KILL + EVENT_HOLD + EVENT_ESCAPE * 2).encode()
+)
+
+
+def _byte_per_cycle(vector: int, num_cycles: int) -> int:
+    """A cycle vector spread to one byte per cycle (cycle 0 the last byte)."""
+    digits = format(vector, f"0{num_cycles}b").encode()
+    return int.from_bytes(digits.translate(_DIGIT_VALUES), "big")
 
 
 class EventClassifier:
@@ -138,16 +144,16 @@ class EventClassifier:
                     hold |= difference
                 else:
                     escape |= difference
-        codes = np.where(
-            _cycle_bits(escape, self.num_cycles),
-            np.uint8(ord(EVENT_ESCAPE)),
-            np.where(
-                _cycle_bits(hold, self.num_cycles),
-                np.uint8(ord(EVENT_HOLD)),
-                np.uint8(ord(EVENT_KILL)),
-            ),
-        ).astype(np.uint8)
-        return codes.tobytes().decode("ascii")
+        # An escape wins over a hold in the same cycle: each cycle's byte
+        # is 2 * escape + hold, mapped to its code in one translate.
+        num_cycles = self.num_cycles
+        if not num_cycles:
+            return ""
+        spread = 2 * _byte_per_cycle(escape, num_cycles) + _byte_per_cycle(
+            hold, num_cycles
+        )
+        codes = spread.to_bytes(num_cycles, "big").translate(_EVENT_CODES)
+        return codes[::-1].decode("ascii")
 
 
 def wire_events(

@@ -13,8 +13,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.faultspace import FaultSpace
 from repro.netlist.netlist import Netlist
 from repro.prune.defuse import EquivalenceMap
@@ -32,13 +30,14 @@ def build_layered_space(
     netlist: Netlist,
     golden_cycles: int,
     equivalence_map: EquivalenceMap | None = None,
-    mate_vectors: Mapping[str, np.ndarray] | None = None,
+    mate_vectors: Mapping[str, int] | None = None,
     static_map: StaticPruneMap | None = None,
 ) -> FaultSpace:
     """A FaultSpace with per-layer attribution for one design/workload.
 
-    ``mate_vectors`` maps fault (Q) wires to per-cycle MATE-triggered
-    vectors (any length; clipped to ``golden_cycles``); the def-use layer
+    ``mate_vectors`` maps fault (Q) wires to their MATE-benign cycle
+    vectors over the same golden run (see
+    :func:`~repro.prune.analyze.get_mate_vectors`); the def-use layer
     marks dead points *and* followers — everything a collapsed campaign
     skips; the static layer marks the trace-independent register-dead
     points of :class:`~repro.prune.dataflow.StaticPruneMap`.
@@ -60,7 +59,7 @@ def build_layered_space(
     if static_map is not None:
         for dff_name, dff in netlist.dffs.items():
             vector = static_map.pruned_vector(dff_name)
-            if vector.any():
+            if vector:
                 space.mark_benign_cycles(dff.q, vector, layer=LAYER_STATIC)
     return space
 
@@ -133,7 +132,7 @@ def account(
     target_name: str,
     netlist: Netlist,
     equivalence_map: EquivalenceMap,
-    mate_vectors: Mapping[str, np.ndarray] | None = None,
+    mate_vectors: Mapping[str, int] | None = None,
     static_map: StaticPruneMap | None = None,
 ) -> PruneAccounting:
     """Reduce the layered space for one target to its accounting row."""

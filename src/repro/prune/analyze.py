@@ -5,7 +5,8 @@ the ``get_*`` helpers know the named evaluation workloads (``avr-fib``,
 ``msp430-conv``, …) and cache the resulting :class:`EquivalenceMap` under
 the artifact cache keyed by the design's netlist hash, so a collapsed
 campaign (``fi run --defuse``) only pays the analysis once per design and
-workload.
+workload. :func:`get_mate_vectors` replays the MATE layer over the same
+golden run.
 """
 
 from __future__ import annotations
@@ -125,6 +126,25 @@ def get_equivalence_map(target_name: str) -> EquivalenceMap:
                 return cached
     counter("prune.map_cache.misses").inc()
     return get_analysis(target_name).map
+
+
+def get_mate_vectors(target_name: str) -> dict[str, int]:
+    """MATE-benign cycle vectors of a named target's halting golden run.
+
+    Replays the core's MATEs (all flip-flops) over the golden trace of
+    :func:`get_analysis`, so every vector covers exactly the campaign's
+    fault space, with no bit past its last cycle.
+    """
+    from repro.core.replay import replay_mates
+    from repro.eval import context
+
+    core = _core_of(target_name)
+    replay = replay_mates(
+        context.get_mates(core, exclude_register_file=False),
+        get_analysis(target_name).trace,
+        context.get_fault_wires(core, exclude_register_file=False),
+    )
+    return {wire: replay.masked_vector(wire) for wire in replay.fault_wires}
 
 
 class PruneAudit:

@@ -45,8 +45,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.obs import counter, span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -528,14 +526,20 @@ def verify_static_claim(cfg: ProgramCFG, claim: StaticClaim) -> list[str]:
 # ----------------------------------------------------------------------
 # golden-trace anchoring: cycle -> program point
 # ----------------------------------------------------------------------
-def _trace_word(trace: Trace, signal: str, width: int) -> np.ndarray:
+def _trace_word(trace: Trace, signal: str, width: int) -> list[int]:
     """Per-cycle integer value of a multi-bit register from its Q bits."""
     from repro.synth.lower import bit_name
 
-    value = np.zeros(trace.num_cycles, dtype=np.int64)
-    for bit in range(width):
-        value |= trace.wire(bit_name(signal, bit, width)).astype(np.int64) << bit
-    return value
+    num_cycles = trace.num_cycles
+    if not num_cycles:
+        return []
+    # One digit string per bit, MSB first; each column of digits, read
+    # from the highest cycle down, is one cycle's word in binary.
+    digits = [
+        format(trace.vector(bit_name(signal, bit, width)), f"0{num_cycles}b")
+        for bit in reversed(range(width))
+    ]
+    return [int("".join(column), 2) for column in zip(*digits)][::-1]
 
 
 def anchor_avr(trace: Trace) -> list[int | None]:
@@ -550,17 +554,17 @@ def anchor_avr(trace: Trace) -> list[int | None]:
     from repro.cpu.avr.core import PC_BITS
 
     pc = _trace_word(trace, "pc", PC_BITS)
-    flush = trace.wire("flush")
-    halted = trace.wire("halted_reg")
+    flush = trace.vector("flush")
+    halted = trace.vector("halted_reg")
     anchors: list[int | None] = [None] * trace.num_cycles
     pending: int | None = None
     for cycle in range(trace.num_cycles - 1, -1, -1):
-        if halted[cycle]:
+        if halted >> cycle & 1:
             pending = None
-        elif flush[cycle] or cycle == 0:
+        elif flush >> cycle & 1 or cycle == 0:
             anchors[cycle] = pending
         else:
-            pending = int(pc[cycle - 1])
+            pending = pc[cycle - 1]
             anchors[cycle] = pending
     return anchors
 
@@ -580,15 +584,15 @@ def anchor_msp430(trace: Trace) -> list[int | None]:
 
     state = _trace_word(trace, "state", 3)
     mar = _trace_word(trace, "mar", 16)
-    halted = trace.wire(f"sr_b{SR_CPUOFF}")
+    halted = trace.vector(f"sr_b{SR_CPUOFF}")
     anchors: list[int | None] = []
     pending: int | None = None
     for cycle in range(trace.num_cycles):
-        if halted[cycle]:
+        if halted >> cycle & 1:
             anchors.append(None)
             continue
         if state[cycle] == S_FETCH:
-            pending = int(mar[cycle]) >> 1
+            pending = mar[cycle] >> 1
         anchors.append(pending)
     return anchors
 
@@ -639,7 +643,7 @@ class StaticPruneMap:
         self._dead_points: dict[int, set[int]] = {}
         for claim in self.claims:
             self._dead_points.setdefault(claim.register, set()).add(claim.point)
-        self._dead_cycles: dict[int, np.ndarray] = {}
+        self._dead_cycles: dict[int, int] = {}
 
     # -- queries --------------------------------------------------------
     def registers(self) -> list[int]:
@@ -651,32 +655,30 @@ class StaticPruneMap:
         match = _RF_NAME.match(dff_name)
         return int(match.group(1)) if match else None
 
-    def dead_cycles(self, register: int) -> np.ndarray:
-        """Boolean per-cycle statically-dead vector for one register."""
+    def dead_cycles(self, register: int) -> int:
+        """Statically-dead cycle vector for one register."""
         cached = self._dead_cycles.get(register)
         if cached is None:
             points = self._dead_points.get(register, set())
-            cached = np.fromiter(
-                (anchor in points for anchor in self.anchors),
-                dtype=bool,
-                count=self.golden_cycles,
+            cached = sum(
+                1 << cycle
+                for cycle, anchor in enumerate(self.anchors)
+                if anchor in points
             )
             self._dead_cycles[register] = cached
         return cached
 
-    def pruned_vector(self, dff_name: str) -> np.ndarray:
-        """Per-cycle statically-benign vector for one flip-flop (bit)."""
+    def pruned_vector(self, dff_name: str) -> int:
+        """Statically-benign cycle vector for one flip-flop (bit)."""
         register = self.register_of(dff_name)
-        if register is None:
-            return np.zeros(self.golden_cycles, dtype=bool)
-        return self.dead_cycles(register)
+        return 0 if register is None else self.dead_cycles(register)
 
     def is_dead(self, dff_name: str, cycle: int) -> bool:
         """True when the (flip-flop, cycle) point is statically benign."""
         register = self.register_of(dff_name)
         if register is None or not 0 <= cycle < self.golden_cycles:
             return False
-        return bool(self.dead_cycles(register)[cycle])
+        return bool(self.dead_cycles(register) >> cycle & 1)
 
     def claim_at(self, dff_name: str, cycle: int) -> StaticClaim | None:
         """The certificate backing a statically-dead point, if any."""
@@ -695,7 +697,7 @@ class StaticPruneMap:
     def num_dead_points(self) -> int:
         """Total statically-benign (DFF bit × cycle) points."""
         return self.register_width * sum(
-            int(self.dead_cycles(register).sum()) for register in self._dead_points
+            self.dead_cycles(register).bit_count() for register in self._dead_points
         )
 
     # -- serialization --------------------------------------------------

@@ -23,8 +23,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.netlist.netlist import Netlist
 from repro.obs import counter, span
 from repro.prune.access import EVENT_ESCAPE, EVENT_HOLD, EventClassifier
@@ -127,20 +125,20 @@ class WireClasses:
             )
         return self.intervals[bisect_right(self._starts, cycle) - 1]
 
-    def pruned_vector(self, include_followers: bool = True) -> np.ndarray:
-        """Boolean per-cycle vector of points needing no simulation.
+    def pruned_vector(self, include_followers: bool = True) -> int:
+        """Cycle vector of the points needing no simulation.
 
         Dead cycles always count; with ``include_followers`` the non-
         representative members of live/tail intervals count too.
         """
-        vec = np.zeros(len(self.events), dtype=bool)
+        vector = 0
         for interval in self.intervals:
             if interval.kind == KIND_DEAD:
-                vec[interval.start : interval.end + 1] = True
+                vector |= ((1 << interval.num_points) - 1) << interval.start
             elif include_followers:
-                vec[interval.start : interval.end + 1] = True
-                vec[interval.representative] = False
-        return vec
+                # Every member but the representative, which is the last.
+                vector |= ((1 << (interval.num_points - 1)) - 1) << interval.start
+        return vector
 
 
 @dataclass
@@ -273,8 +271,8 @@ class EquivalenceMap:
         """Points needing no simulation: dead plus followers."""
         return self.num_dead_points + self.num_follower_points
 
-    def pruned_vector(self, dff: str, include_followers: bool = True) -> np.ndarray:
-        """Per-cycle no-simulation-needed vector for one flip-flop."""
+    def pruned_vector(self, dff: str, include_followers: bool = True) -> int:
+        """No-simulation-needed cycle vector for one flip-flop."""
         return self.wires[dff].pruned_vector(include_followers)
 
     # -- campaign collapsing --------------------------------------------

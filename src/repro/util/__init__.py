@@ -5,6 +5,7 @@ from repro.util.bits import (
     bits_of,
     from_bits,
     mask,
+    set_bits,
     sign_extend,
     to_signed,
 )
@@ -14,6 +15,7 @@ __all__ = [
     "bits_of",
     "from_bits",
     "mask",
+    "set_bits",
     "sign_extend",
     "to_signed",
 ]

@@ -46,6 +46,17 @@ def bit_count(value: int) -> int:
     return value.bit_count()
 
 
+def set_bits(value: int) -> list[int]:
+    """Positions of the one bits of a non-negative integer, ascending.
+
+    >>> set_bits(0b10110)
+    [1, 2, 4]
+    """
+    if value < 0:
+        raise ValueError("set_bits expects a non-negative integer")
+    return [i for i, bit in enumerate(bin(value)[:1:-1]) if bit == "1"]
+
+
 def sign_extend(value: int, width: int, to_width: int) -> int:
     """Sign-extend a ``width``-bit value to ``to_width`` bits.
 

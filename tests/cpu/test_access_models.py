@@ -2,9 +2,35 @@
 
 import pytest
 
-from repro.cpu.avr.access import avr_access_model
+from repro.cpu.avr import assemble_avr
+from repro.cpu.avr.access import registers_read as avr_registers_read
 from repro.cpu.msp430 import assemble_msp430
-from repro.cpu.msp430.access import msp430_access_model, registers_read
+from repro.cpu.msp430.access import registers_read
+
+
+class TestAvrReadDecode:
+    @pytest.mark.parametrize(
+        "source,expected",
+        [
+            ("add r4, r5", {4, 5}),
+            ("mov r4, r5", {5}),
+            ("ldi r20, 9", set()),
+            ("subi r20, 9", {20}),
+            ("inc r7", {7}),
+            ("st x+, r9", {9, 26, 27}),
+            ("ld r9, x", {26, 27}),
+            ("out 0x05, r12", {12}),
+            ("in r12, 0x32", set()),
+            ("brne 0", set()),
+            ("rjmp 0", set()),
+            ("nop", set()),
+            ("sleep", set()),
+            ("ret", set()),
+        ],
+    )
+    def test_registers_read(self, source, expected):
+        (word,) = assemble_avr(source)
+        assert avr_registers_read(word) == expected
 
 
 class TestMsp430RegistersRead:
@@ -36,71 +62,3 @@ class TestMsp430RegistersRead:
         # mov r2, r5 reads SR (r2) which is not RF-tagged.
         (word,) = assemble_msp430("mov r2, r5")
         assert registers_read(word) == set()
-
-
-class TestModelConstruction:
-    def test_avr_model_wires_exist(self, avr_sim):
-        model = avr_access_model(avr_sim.netlist)
-        assert len(model.registers) == 32
-        assert model.valid_wire == "flush"
-        wires = avr_sim.netlist.wires()
-        for reg_wires in model.registers.values():
-            assert all(w in wires for w in reg_wires)
-
-    def test_msp430_model_wires_exist(self, msp430_sim):
-        model = msp430_access_model(msp430_sim.netlist)
-        assert len(model.registers) == 13  # r1, r4..r15
-        assert model.extra_instruction_wires is not None
-        wires = msp430_sim.netlist.wires()
-        assert all(w in wires for w in model.extra_instruction_wires)
-
-
-@pytest.mark.slow
-class TestMsp430DefuseEndToEnd:
-    def test_pruned_points_benign(self, msp430_sim):
-        import random
-
-        import numpy as np
-
-        from repro.core.intercycle import prune_fault_space
-        from repro.cpu.msp430 import Msp430System
-        from repro.fi import Campaign, CampaignTarget, Outcome
-
-        source = """
-        start:
-            mov #5, r7
-        loop:
-            mov #0x1111, r10   ; dead store, rewritten below
-            mov #0x2222, r10
-            add r10, r11
-            sub #1, r7
-            jne loop
-            mov r11, &0x200
-            halt
-        """
-        program = assemble_msp430(source)
-        tb_factory = lambda: Msp430System(program, halt_on_cpuoff=True)  # noqa: E731
-        golden = msp430_sim.run(tb_factory(), max_cycles=2000)
-        assert golden.halted
-
-        model = msp430_access_model(msp430_sim.netlist)
-        space = prune_fault_space(golden.trace, model)
-        assert space.num_benign > 0
-
-        target = CampaignTarget(
-            name="msp430-defuse",
-            simulator=msp430_sim,
-            make_testbench=tb_factory,
-            observables=lambda bench, res: tuple(bench.ram.words),
-        )
-        campaign = Campaign(target)
-        rng = random.Random(9)
-        points = []
-        for wire in space.fault_wires:
-            row = space.benign[space._row[wire]]  # noqa: SLF001
-            for cycle in np.nonzero(row)[0]:
-                if cycle < campaign.golden_cycles:
-                    points.append((wire, int(cycle)))
-        sample = rng.sample(points, min(25, len(points)))
-        result = campaign.run_points(sample)
-        assert result.count(Outcome.BENIGN) == result.num_injections

@@ -4,9 +4,10 @@
 the simulator, the campaign engine, the cores and the light part of
 ``repro.obs``. numpy, the MATE search, the static MATE checker, the web
 console (asyncio) and the process-pool machinery are loaded on first use
-only. Recording a golden trace and reading its cycle vectors needs no
-numpy either. Each check runs in a fresh interpreter, because this test
-process has long since imported everything.
+only. Recording a golden trace, reading its cycle vectors and pruning its
+fault space (def-use map, MATE replay) needs no numpy either. Each check
+runs in a fresh interpreter, because this test process has long since
+imported everything.
 """
 
 import json
@@ -74,10 +75,9 @@ def test_pool_worker_loads_only_the_injection_path(tmp_path):
 
 
 def test_layered_run_skips_the_mate_search_and_console(tmp_path):
-    # numpy stays allowed here: the def-use layer (repro.prune) uses it.
     body = _cli_run("--target", "msp430-fib", "--sampled", "20", "--defuse",
                     "--static", "--workers", "0")
-    watch = ("repro.core.search", "asyncio")
+    watch = ("numpy", "repro.core.search", "asyncio")
     assert _loaded_after(body, watch, tmp_path) == []
 
 
@@ -118,5 +118,31 @@ def test_recording_a_trace_needs_no_numpy(tmp_path):
         trace = result.trace
         assert trace.vector(CONST1) == (1 << result.cycles) - 1
         assert trace.value(0, CONST1) == 1
+    """
+    assert _loaded_after(body, ("numpy",), tmp_path) == []
+
+
+def test_pruning_a_golden_trace_needs_no_numpy(tmp_path):
+    body = """
+        from repro.core.replay import replay_mates
+        from repro.eval import context
+        from repro.fi.targets import named_target
+        from repro.prune import EquivalenceMap
+
+        target = named_target("avr-fib")
+        result = target.simulator.run(
+            target.make_testbench(), max_cycles=60, record_trace=True,
+            record_reads=True,
+        )
+        emap = EquivalenceMap.build(
+            target.simulator.netlist, result.trace, result.reads
+        )
+        assert emap.num_dead_points > 0
+        replay = replay_mates(
+            context.get_mates("avr", exclude_register_file=False),
+            result.trace,
+            context.get_fault_wires("avr", exclude_register_file=False),
+        )
+        assert replay.masked_pairs() > 0
     """
     assert _loaded_after(body, ("numpy",), tmp_path) == []

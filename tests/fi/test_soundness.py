@@ -9,7 +9,6 @@ injected and run to completion.
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.replay import replay_mates
@@ -17,6 +16,7 @@ from repro.core.search import SearchParameters, faulty_wires_for_dffs, find_mate
 from repro.cpu.avr import AvrSystem
 from repro.fi import Campaign, Outcome, avr_target
 from repro.programs import avr_fib
+from repro.util.bits import set_bits
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +41,9 @@ def test_pruned_points_are_benign_end_to_end(setup):
     rng = random.Random(3)
     pruned_points = []
     for wire, dff_name in wires.items():
-        benign = np.unpackbits(replay.masked_vector(wire))[: replay.num_cycles]
-        for cycle in np.nonzero(benign)[0]:
+        for cycle in set_bits(replay.masked_vector(wire)):
             if cycle < campaign.golden_cycles:
-                pruned_points.append((dff_name, int(cycle)))
+                pruned_points.append((dff_name, cycle))
     assert pruned_points, "MATEs pruned nothing on the fib trace"
     sample = rng.sample(pruned_points, min(40, len(pruned_points)))
     result = campaign.run_points(sample)

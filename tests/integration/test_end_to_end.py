@@ -1,6 +1,5 @@
 """Cross-module integration tests exercising full pipelines."""
 
-import numpy as np
 import pytest
 
 from repro.cells import nangate15_library
@@ -54,7 +53,7 @@ class TestVcdPipeline:
         mates = find_mates(netlist, faulty_wires=wires).mate_set().mates()
         direct = replay_mates(mates, trace, list(wires))
         from_vcd = replay_mates(mates, restored, list(wires))
-        assert np.array_equal(direct.triggered_packed, from_vcd.triggered_packed)
+        assert direct.trigger_vectors == from_vcd.trigger_vectors
 
 
 class TestExamplesRun:

@@ -7,7 +7,6 @@ ones (all must be refuted). The named-target containment suite lives in
 ``test_dataflow_containment.py``.
 """
 
-import numpy as np
 import pytest
 
 from repro.cpu.avr import assemble_avr
@@ -295,8 +294,8 @@ def small_map(**overrides):
 class TestStaticPruneMap:
     def test_dead_cycles_follow_the_anchoring(self):
         m = small_map()
-        assert m.dead_cycles(16).tolist() == [False, True, True, False, False, False]
-        assert m.dead_cycles(17).tolist() == [False, False, False, True, False, False]
+        assert m.dead_cycles(16) == 0b000110
+        assert m.dead_cycles(17) == 0b001000
 
     def test_is_dead_expands_register_bits(self):
         m = small_map()
@@ -370,9 +369,9 @@ class TestThreeLayerAccounting:
         from repro.core.faultspace import FaultSpace
 
         space = FaultSpace(["w"], 4)
-        space.mark_benign_cycles("w", np.array([1, 1, 0, 0]), layer="mate")
-        space.mark_benign_cycles("w", np.array([1, 0, 1, 0]), layer="defuse")
-        space.mark_benign_cycles("w", np.array([1, 0, 0, 1]), layer="static")
+        space.mark_benign_cycles("w", 0b0011, layer="mate")
+        space.mark_benign_cycles("w", 0b0101, layer="defuse")
+        space.mark_benign_cycles("w", 0b1001, layer="static")
         counts = space.attribution()
         assert counts["mate"] == 2 and counts["defuse"] == 2
         assert counts["static"] == 2
@@ -385,8 +384,8 @@ class TestThreeLayerAccounting:
         from repro.core.faultspace import FaultSpace
 
         space = FaultSpace(["w"], 2)
-        space.mark_benign_cycles("w", np.array([1, 1]), layer="mate")
-        space.mark_benign_cycles("w", np.array([1, 0]), layer="defuse")
+        space.mark_benign_cycles("w", 0b11, layer="mate")
+        space.mark_benign_cycles("w", 0b01, layer="defuse")
         assert space.attribution()["both"] == 1
 
     def test_union_is_inclusion_exclusion(self):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.prune import get_equivalence_map, get_static_map
 from repro.prune.defuse import KIND_DEAD
+from repro.util.bits import set_bits
 
 TARGETS = ("avr-fib", "msp430-fib")
 
@@ -25,11 +26,11 @@ def test_every_static_dead_point_is_dynamically_dead(target):
     assert static_map.golden_cycles == emap.golden_cycles
     checked = 0
     for register in static_map.registers():
-        cycles = static_map.dead_cycles(register).nonzero()[0]
+        cycles = set_bits(static_map.dead_cycles(register))
         for bit in range(static_map.register_width):
             dff = f"rf_r{register}_b{bit}"
             for cycle in cycles:
-                interval = emap.interval_of(dff, int(cycle))
+                interval = emap.interval_of(dff, cycle)
                 assert interval.kind == KIND_DEAD, (
                     f"{target}: statically-dead ({dff}, {cycle}) lands in a "
                     f"{interval.kind} def-use interval — the static layer "

@@ -46,6 +46,21 @@ class TestBitsRoundtrip:
         assert bits.from_bits(bits.bits_of(value + (extra << 8), 8)) == value
 
 
+class TestSetBits:
+    @given(st.integers(min_value=0, max_value=2**80))
+    def test_positions_rebuild_the_value(self, value):
+        positions = bits.set_bits(value)
+        assert positions == sorted(positions)
+        assert sum(1 << i for i in positions) == value
+
+    def test_zero_has_no_bits(self):
+        assert bits.set_bits(0) == []
+
+    def test_negative_raises(self):
+        with pytest.raises(ValueError):
+            bits.set_bits(-1)
+
+
 class TestSignExtend:
     def test_negative(self):
         assert bits.sign_extend(0x80, 8, 16) == 0xFF80
