@@ -32,14 +32,14 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.cone import FaultCone, compute_fault_cone
-from repro.core.implication import ImplicationEngine
-from repro.core.mate import Mate, MateSet
-from repro.core.paths import (
-    PathEnumeration,
-    WireTerm,
-    enumerate_paths,
-    wire_level_terms,
+from repro.core.implication import (
+    UNKNOWN,
+    ClosureChain,
+    IdLiteral,
+    ImplicationEngine,
 )
+from repro.core.mate import Mate, MateSet
+from repro.core.paths import PathEnumeration, enumerate_paths, wire_level_terms
 from repro.netlist.netlist import Netlist
 from repro.obs import counter, histogram, progress_iter, span
 
@@ -154,6 +154,10 @@ class _ContaminationChecker:
     independent of the fault), (b) the function is independent of its
     contaminated pins, or (c) a gate-masking term for the actual
     contaminated-pin set is satisfied by the implied literals.
+
+    Wires are the engine's dense ids throughout. Tainted and untainted
+    closures each resume from the closure of the previous candidate's
+    longest shared literal prefix (:class:`ClosureChain`).
     """
 
     def __init__(
@@ -162,16 +166,40 @@ class _ContaminationChecker:
         self.netlist = netlist
         self.cone = cone
         self.engine = engine
-        # (gate name, frozen contaminated-pin set) -> wire-level GM terms
+        wire_id = engine.wire_id
+        self._tainted = ClosureChain(engine, engine.taint_mask(cone.cone_wires))
+        self._untainted = ClosureChain(engine)
+        #: Per cone gate, in topological order: (gate, output id, [(pin, input id)]).
+        self._gates = [
+            (
+                gate,
+                wire_id(gate.output),
+                [(pin, wire_id(wire)) for pin, wire in gate.inputs.items()],
+            )
+            for gate in cone.cone_gates
+        ]
+        self._fault_ids = {wire_id(wire) for wire in cone.fault_wires}
+        self._endpoint_ids = {wire_id(wire) for wire in cone.endpoint_wires}
+        # (gate name, frozen contaminated-pin set) -> GM terms over wire ids
         # (None means the output is independent of those pins).
-        self._gm_cache: dict[tuple[str, frozenset[str]], list[WireTerm] | None] = {}
+        self._gm_cache: dict[
+            tuple[str, frozenset[str]], list[list[IdLiteral]] | None
+        ] = {}
         self._masks_cache: dict[frozenset[tuple[str, int]], bool] = {}
 
-    def _gm(self, gate, faulty: frozenset[str]) -> list[WireTerm] | None:
+    def _gm(self, gate, faulty: frozenset[str]) -> list[list[IdLiteral]] | None:
         key = (gate.name, faulty)
         if key not in self._gm_cache:
-            self._gm_cache[key] = wire_level_terms(self.netlist, gate, faulty)
+            terms = wire_level_terms(self.netlist, gate, faulty)
+            self._gm_cache[key] = (
+                None if terms is None
+                else [self.engine.literals_of(term) for term in terms]
+            )
         return self._gm_cache[key]
+
+    def closure(self, literals: dict[str, int]) -> bytes | bytearray | None:
+        """Untainted implication closure of ``literals`` over wire ids."""
+        return self._untainted.close(self.engine.literals_of(literals.items()))
 
     def masks(self, literals: dict[str, int]) -> bool:
         """True iff the conjunction provably masks the fault this cycle."""
@@ -183,32 +211,25 @@ class _ContaminationChecker:
         return cached
 
     def _masks(self, literals: dict[str, int]) -> bool:
-        cone = self.cone
-        if cone.fault_wire_is_endpoint:
+        if self.cone.fault_wire_is_endpoint:
             return False
-        known = self.engine.propagate(
-            literals, tainted=frozenset(cone.cone_wires)
-        )
+        known = self._tainted.close(self.engine.literals_of(literals.items()))
         if known is None:
             return False  # contradictory conjunction can never trigger
-        contaminated = set(cone.fault_wires)
-        for gate in cone.cone_gates:
-            if gate.output in known:
+        contaminated = set(self._fault_ids)
+        for gate, output, pins in self._gates:
+            if known[output] != UNKNOWN:
                 continue  # value forced by the candidate: fault-independent
-            faulty = frozenset(
-                pin for pin, wire in gate.inputs.items() if wire in contaminated
-            )
+            faulty = frozenset(pin for pin, wire in pins if wire in contaminated)
             if not faulty:
                 continue
             terms = self._gm(gate, faulty)
             if terms is None:
                 continue  # output independent of the contaminated pins
-            if any(
-                all(known.get(w) == v for w, v in term) for term in terms
-            ):
+            if any(all(known[w] == v for w, v in term) for term in terms):
                 continue  # killed here by the candidate
-            contaminated.add(gate.output)
-        return not (contaminated & cone.endpoint_wires)
+            contaminated.add(output)
+        return not (contaminated & self._endpoint_ids)
 
 
 def _search_wire(
@@ -304,22 +325,38 @@ def _generate_candidates(
     # Augment the strongest terms with *implied* coverage: a term also kills
     # every signature killable by any term its implication closure entails
     # (e.g. a state literal entails every enable that state forces shut).
-    term_literal_sets = [frozenset(t) for t in enumeration.terms]
+    engine = checker.engine
+    term_ids = [engine.literals_of(t) for t in enumeration.terms]
+    term_codes = [frozenset(2 * w + v for w, v in t) for t in term_ids]
     for term_id in useful[:_CLOSURE_TOP_K]:
-        closure = checker.engine.closure_of_term(enumeration.terms[term_id])
-        if closure is None:
+        codes = engine.term_closure(enumeration.terms[term_id])
+        if codes is None:
             coverage[term_id] = 0  # unsatisfiable term: useless
             continue
+        closure = set(codes)
         implied = 0
         for other in range(len(enumeration.terms)):
-            if coverage[other] and term_literal_sets[other] <= closure:
+            if coverage[other] and term_codes[other] <= closure:
                 implied |= coverage[other]
         coverage[term_id] |= implied
     useful = [t for t in useful if coverage[t]]
     useful.sort(key=lambda t: coverage[t].bit_count(), reverse=True)
 
     mates: list[Mate] = []
-    found_term_sets: list[frozenset[int]] = []
+    #: Term sets of the MATEs found, filed under their smallest term id:
+    #: a found set can only be inside a combo that holds its anchor.
+    found_by_anchor: dict[int, list[frozenset[int]]] = {}
+
+    def extends_found(combo: tuple[int, ...] | frozenset[int]) -> bool:
+        """True iff ``combo`` contains an already-found MATE's terms."""
+        anchored = [
+            found for term_id in combo for found in found_by_anchor.get(term_id, ())
+        ]
+        return bool(anchored) and any(found <= set(combo) for found in anchored)
+
+    def add_found(combo_set: frozenset[int]) -> None:
+        found_by_anchor.setdefault(min(combo_set), []).append(combo_set)
+
     tried = 0
     exact_checks = 0
 
@@ -333,8 +370,8 @@ def _generate_candidates(
         return literals
 
     # Killer terms per signature (for joint-closure coverage in phase 1).
-    sig_killers: list[list[WireTerm]] = [
-        [enumeration.terms[t] for t in signature] for signature in signatures
+    sig_killers: list[list[list[IdLiteral]]] = [
+        [term_ids[t] for t in signature] for signature in signatures
     ]
 
     def joint_mask(literals: dict[str, int], pending: int) -> int:
@@ -345,14 +382,14 @@ def _generate_candidates(
         opcode class pinning the decoded register address). Only the
         ``pending`` (still-uncovered) signatures are examined.
         """
-        closure = checker.engine.propagate(literals)
+        closure = checker.closure(literals)
         if closure is None:
             return 0
         mask = 0
         for index, killers in enumerate(sig_killers):
             if not (pending >> index) & 1:
                 continue
-            if any(all(closure.get(w) == v for w, v in t) for t in killers):
+            if any(all(closure[w] == v for w, v in t) for t in killers):
                 mask |= 1 << index
         return mask
 
@@ -382,12 +419,12 @@ def _generate_candidates(
         if combo_set in checked:
             return False
         checked.add(combo_set)
-        if any(found <= combo_set for found in found_term_sets):
+        if extends_found(combo_set):
             return False
         exact_checks += 1
         if checker.masks(literals):
             mates.append(Mate(tuple(literals.items()), [wire]))
-            found_term_sets.append(combo_set)
+            add_found(combo_set)
             return True
         return False
 
@@ -455,9 +492,8 @@ def _generate_candidates(
             ):
                 budget_exhausted = True
                 break
-            combo_set = frozenset(combo)
             # A superset of an already-found MATE term set is redundant.
-            if any(found <= combo_set for found in found_term_sets):
+            if found_by_anchor and extends_found(combo):
                 continue
             tried += 1
             mask = 0
@@ -465,23 +501,14 @@ def _generate_candidates(
                 mask |= coverage[term_id]
             if mask != full_mask:
                 continue
-            literals: dict[str, int] = {}
-            consistent = True
-            for term_id in combo:
-                for term_wire, value in enumeration.terms[term_id]:
-                    if literals.get(term_wire, value) != value:
-                        consistent = False
-                        break
-                    literals[term_wire] = value
-                if not consistent:
-                    break
-            if not consistent:
+            literals = merge_literals(combo)
+            if literals is None:
                 continue
             exact_checks += 1
             if not checker.masks(literals):
                 continue
             mates.append(Mate(tuple(literals.items()), [wire]))
-            found_term_sets.append(combo_set)
+            add_found(frozenset(combo))
     return mates, tried, exact_checks
 
 

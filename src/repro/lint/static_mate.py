@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from repro.cells.expressions import lane_function
 from repro.core.cone import FaultCone, compute_fault_cone
-from repro.core.implication import ImplicationEngine
+from repro.core.implication import UNKNOWN, ImplicationEngine
 from repro.core.mate import Mate
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import LintConfig, LintTarget, registered_rule, rule
@@ -146,7 +146,8 @@ class StaticMateChecker:
         self.implications = implications or ImplicationEngine(netlist)
         self.budget_bits = budget_bits
         self.engine = engine
-        self._cones: dict[str, FaultCone] = {}
+        #: Fault wire -> (cone, the engine's taint mask of its wires).
+        self._cones: dict[str, tuple[FaultCone, bytes]] = {}
 
     # ------------------------------------------------------------------
     def check(self, fault_wire: str, mate: Mate) -> StaticMateVerdict:
@@ -165,15 +166,16 @@ class StaticMateChecker:
         return [self.check(wire, mate) for wire, mate in pairs]
 
     # ------------------------------------------------------------------
-    def _cone(self, fault_wire: str) -> FaultCone:
-        cone = self._cones.get(fault_wire)
-        if cone is None:
+    def _cone(self, fault_wire: str) -> tuple[FaultCone, bytes]:
+        cached = self._cones.get(fault_wire)
+        if cached is None:
             cone = compute_fault_cone(self.netlist, fault_wire)
-            self._cones[fault_wire] = cone
-        return cone
+            cached = (cone, self.implications.taint_mask(cone.cone_wires))
+            self._cones[fault_wire] = cached
+        return cached
 
     def _check(self, fault_wire: str, mate: Mate) -> StaticMateVerdict:
-        cone = self._cone(fault_wire)
+        cone, taint = self._cone(fault_wire)
         if cone.fault_wire_is_endpoint:
             # The flipped wire itself crosses the cycle boundary; no term
             # over other wires can ever mask it.
@@ -193,9 +195,8 @@ class StaticMateChecker:
         golden_only = tuple(
             (w, v) for w, v in mate.literals if w in cone.cone_wires
         )
-        closure = self.implications.propagate(
-            seed, tainted=frozenset(cone.cone_wires)
-        )
+        engine = self.implications
+        closure = engine.close(engine.literals_of(seed.items()), taint)
         if closure is None:
             return StaticMateVerdict(
                 fault_wire=fault_wire,
@@ -219,9 +220,7 @@ class StaticMateChecker:
         return self._enumerate(cut, golden_only, live_endpoints, mate)
 
     # ------------------------------------------------------------------
-    def _propagate_difference(
-        self, cone: FaultCone, closure: dict[str, int]
-    ) -> set[str]:
+    def _propagate_difference(self, cone: FaultCone, closure: bytearray) -> set[str]:
         """Stage 1: wires that may still differ between golden and faulty.
 
         The closure holds in both circuits (see module docstring), so a
@@ -235,7 +234,7 @@ class StaticMateChecker:
             ]
             if not live_pins:
                 continue  # every mistrusted input was already proven clean
-            if gate.output in closure:
+            if self._known_value(gate.output, closure) is not None:
                 continue  # forward-forced in both circuits
             function = self.netlist.library[gate.cell].function
             assert function is not None
@@ -251,19 +250,16 @@ class StaticMateChecker:
             live.add(gate.output)
         return live
 
-    @staticmethod
-    def _known_value(wire: str, closure: dict[str, int]) -> int | None:
-        if wire == CONST0:
-            return 0
-        if wire == CONST1:
-            return 1
-        return closure.get(wire)
+    def _known_value(self, wire: str, closure: bytearray) -> int | None:
+        """The closure's value of ``wire`` (constants included), or None."""
+        value = closure[self.implications.wire_id(wire)]
+        return None if value == UNKNOWN else value
 
     # ------------------------------------------------------------------
     def _slice(
         self,
         cone: FaultCone,
-        closure: dict[str, int],
+        closure: bytearray,
         golden_only: tuple[tuple[str, int], ...],
         live_endpoints: list[str],
     ) -> _Slice:
@@ -278,7 +274,9 @@ class StaticMateChecker:
         needed.update(w for w, _ in golden_only)
         slice_gates: list[Gate] = []
         for gate in reversed(cone.cone_gates):
-            if gate.output not in needed or gate.output in closure:
+            if gate.output not in needed:
+                continue
+            if self._known_value(gate.output, closure) is not None:
                 continue
             slice_gates.append(gate)
             needed.update(gate.inputs.values())

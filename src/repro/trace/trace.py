@@ -113,10 +113,6 @@ class Trace:
             for wire, data in zip(self.wire_names, self._bytes)
         }
 
-    def wire(self, wire: str) -> np.ndarray:
-        """All per-cycle values of one wire (length ``num_cycles``)."""
-        return self.columns([wire])[:, 0]
-
     def columns(self, wires: Iterable[str]) -> np.ndarray:
         """(cycles x wires) ``uint8`` matrix of the given wires, in order."""
         import numpy as np

@@ -57,12 +57,9 @@ class TestAccess:
         assert trace.value(0, "y") == 1
         assert trace.value(2, "x") == 1
 
-    def test_wire_column(self, trace):
-        assert trace.wire("z").tolist() == [0, 0, 1]
-
     def test_unknown_wire(self, trace):
         with pytest.raises(KeyError):
-            trace.wire("nope")
+            trace.vector("nope")
 
     def test_cycle_values(self, trace):
         assert trace.cycle_values(1) == {"x": 1, "y": 1, "z": 0}
